@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import SIGNS, as_probs, density_from_p, ghz_projectors, r_from_p
+from .pauli import GHZ_PROJECTORS, SIGNS, as_probs, density_from_p, r_from_p
 from .ppt import PptReport, is_ppt, ppt_inequalities_batch
 from .witness import (
     NonlinearFamilyId,
@@ -23,7 +23,6 @@ from .witness import (
     nonlinear_value,
     nonlinear_values_batch,
     product_state_vector,
-    validated_ids,
 )
 
 VERDICT_NPT = "NPT"
@@ -102,21 +101,16 @@ def _require_ppt_cheap(p, tol: float) -> None:
 
 
 def detect_bound(p, tol: float = 1e-9):
-    """Best (most negative) validated envelope witness, or None.
+    """Best (most negative) envelope witness, or None.
 
     Raises ValueError when called on a non-PPT state.
     """
     arr = as_probs(p)
-    _require_ppt_cheap(arr, tol)
     r = SIGNS @ arr
-    best_id, best_val = None, -tol
-    for id_ in validated_ids():
-        val = nonlinear_value(id_, r)
-        if val < best_val:
-            best_id, best_val = id_, val
-    if best_id is None:
-        return None
-    return best_id, best_val
+    codes, cols, _, _ = _classify_rows(arr[None, :], r[None, :], tol)
+    if codes[0] == _NPT:
+        raise ValueError("state is not PPT")
+    return _single_detection(cols[0], r) if codes[0] == _BOUND else None
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +139,21 @@ class SeparableCertificate:
 _MATCH_TOL = 1e-12
 
 
-def _projectors():
-    return ghz_projectors()
-
-
 def _pair_mix(k: int) -> np.ndarray:
     """(|psi_{2k+1}><..| + |psi_{2k+2}><..|) / 2: a computational-pair mixture."""
-    proj = _projectors()
+    proj = GHZ_PROJECTORS
     return (proj[2 * k] + proj[2 * k + 1]) / 2.0
 
 
 def _coherence_state(k: int, sign: int) -> np.ndarray:
     """(III + sign*(P_odd - P_even))/8: a phase-averaged product mixture."""
-    proj = _projectors()
+    proj = GHZ_PROJECTORS
     return (np.eye(8, dtype=complex) + sign * (proj[2 * k] - proj[2 * k + 1])) / 8.0
 
 
 def _pair_complement(k: int) -> np.ndarray:
     """(III - P_odd - P_even)/6: the six remaining computational states."""
-    proj = _projectors()
+    proj = GHZ_PROJECTORS
     return (np.eye(8, dtype=complex) - proj[2 * k] - proj[2 * k + 1]) / 6.0
 
 
@@ -350,9 +340,10 @@ def _try_branch_cat3(p: np.ndarray, mt: float):
     if s > 0.0:
         t = min(1.0, max(-1.0, (p[4] - p[5]) / s))
         phi0 = math.acos(t) / 2.0
+        # Qubits 1, 2 z-aligned (theta2 = theta1): at theta = pi/2 this is mix a.
         terms.append(CertTerm(4.0 * s,
                               f"equatorial product average (z-aligned 1-2, phi0={phi0:.6g})",
-                              _equatorial_mix_c(phi0)))
+                              _equatorial_mix_a(phi0)))
     w12 = (p[0] + p[1] - s) / 2.0
     w34 = (p[2] + p[3] - s) / 2.0
     if min(w12, w34) < -mt:
@@ -362,14 +353,6 @@ def _try_branch_cat3(p: np.ndarray, mt: float):
         if w > 0.0:
             terms.append(CertTerm(w, f"basis state {name}", _basis_projector(idx)))
     return "category-3 branch (r5 = r6)", terms
-
-
-def _equatorial_mix_c(phi0: float) -> np.ndarray:
-    """Like _equatorial_mix_a but with qubits 1, 2 z-aligned (theta2 = theta1).
-
-    At theta = pi/2 the two coincide; kept separate for clarity of origin.
-    """
-    return _equatorial_mix_a(phi0)
 
 
 _CERTIFICATE_BUILDERS = (
@@ -411,6 +394,60 @@ def certify_separable(p, tol: float = 1e-9, match_tol: float = _MATCH_TOL):
     return None
 
 
+def certificate_mask(ps: np.ndarray, match_tol: float = _MATCH_TOL) -> np.ndarray:
+    """Rows on which some certificate builder can match, as one boolean mask.
+
+    Each clause restates, over the whole batch, the equalities and
+    inequalities one builder tests before it builds a matrix.  The
+    tolerance is doubled so that rounding differences from the scalar
+    builders can only add rows: every row certify_separable certifies is
+    in the mask, and the builders decide the rest.
+    """
+    p = np.atleast_2d(np.asarray(ps, dtype=float))
+    mt = 2.0 * match_tol
+    rows = np.arange(p.shape[0])
+
+    def cross_weights_ok(x):  # the basis-state weights of the cat1/cat2 branches
+        return np.minimum(p[:, 4] + p[:, 5], p[:, 6] + p[:, 7]) / 2.0 - x / 2.0 >= -mt
+
+    # _try_case2: at most one unequal pair u, and eps1 >= 0.  This also
+    # covers _try_case1: its zero pair is an equal pair, so all four pairs
+    # are equal and eps1 >= min pair mean - mt/2.
+    hi, lo = np.maximum(p[:, 0::2], p[:, 1::2]), np.minimum(p[:, 0::2], p[:, 1::2])
+    u = np.argmax(hi - lo, axis=1)
+    means = (p[:, 0::2] + p[:, 1::2]) / 2.0
+    means[rows, u] = np.inf
+    eps1 = (lo[rows, u] + 2.0 * means.min(axis=1) - hi[rows, u]) / 2.0
+    case2 = (np.count_nonzero(hi - lo > mt, axis=1) <= 1) & (eps1 >= -mt)
+
+    # _try_branch_cat1: p2 = p4 = 0, p1 = p3, r5 = r6, nonnegative weights.
+    half = (p[:, 0] + p[:, 2]) / 2.0
+    g5, g7 = (p[:, 4] - p[:, 5]) / 2.0, (p[:, 6] - p[:, 7]) / 2.0
+    cat1 = ((p[:, 1] <= mt) & (p[:, 3] <= mt) & (np.abs(p[:, 0] - p[:, 2]) <= mt)
+            & (np.abs(g5 - g7) <= mt) & (np.abs(g5 + g7) <= half + mt)
+            & cross_weights_ok(half))
+
+    # _try_branch_cat2: p4 = 0, p3 = p1 + p2, p7 = p3 + p8, r5 + r7 = 0.
+    q3 = p[:, 2]
+    d1, d5 = p[:, 0] - p[:, 1], p[:, 4] - p[:, 5]
+    cat2 = ((p[:, 3] <= mt) & (np.abs(q3 - p[:, 0] - p[:, 1]) <= mt)
+            & (np.abs(p[:, 6] - q3 - p[:, 7]) <= mt) & (np.abs(d1 - d5) <= mt)
+            & (np.abs(d1 + d5) / 2.0 <= q3 + mt) & cross_weights_ok(q3))
+
+    # _try_branch_cat3: p1 + p3 = 1/2, four equal splits s >= 0, p5 = p7, p6 = p8.
+    cands = np.stack([p[:, 0] - p[:, 1], p[:, 2] - p[:, 3],
+                      p[:, 4] + p[:, 5], p[:, 6] + p[:, 7]], axis=1)
+    s = cands.mean(axis=1)
+    w12 = (p[:, 0] + p[:, 1] - s) / 2.0
+    w34 = (p[:, 2] + p[:, 3] - s) / 2.0
+    cat3 = ((np.abs(p[:, 0] + p[:, 2] - 0.5) <= mt)
+            & np.all(np.abs(cands - s[:, None]) <= mt, axis=1) & (s >= -mt)
+            & (np.abs(p[:, 4] - p[:, 6]) <= mt) & (np.abs(p[:, 5] - p[:, 7]) <= mt)
+            & (np.minimum(w12, w34) >= -mt))
+
+    return case2 | cat1 | cat2 | cat3
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -424,25 +461,30 @@ class Verdict:
     certificate: SeparableCertificate | None = None
 
 
+# The batch core works on verdict codes that index _VERDICTS.
+_IDS = all_family_ids()
+_LABELS = np.array([id_.label for id_ in _IDS], dtype=object)
+_VERDICTS = np.array([VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED],
+                     dtype=object)
+_NPT, _BOUND, _SEPARABLE, _UNDECIDED = range(4)
+
+
 def classify(p, tol: float = 1e-9) -> Verdict:
-    """NPT / bound-detected / separable-certified / ppt-undecided."""
+    """NPT / bound-detected / separable-certified / ppt-undecided.
+
+    The eigenvalue oracle in is_ppt cross-checks the inequalities; the
+    verdict itself comes from the batch core on a batch of one.
+    """
     arr = as_probs(p)
     report = is_ppt(arr, tol)
-    if not report.passed:
-        return Verdict(VERDICT_NPT, report)
-    detection = detect_bound(arr, tol)
-    if detection is not None:
-        cert = certify_separable(arr, tol)
-        if cert is not None:
-            raise RuntimeError("state both detected and certified separable")
-        return Verdict(VERDICT_BOUND, report, detection=detection)
-    cert = certify_separable(arr, tol)
-    if cert is not None:
-        return Verdict(VERDICT_SEPARABLE, report, certificate=cert)
-    return Verdict(VERDICT_UNDECIDED, report)
+    r = SIGNS @ arr
+    codes, cols, _, certs = _classify_rows(arr[None, :], r[None, :], tol)
+    kind = _VERDICTS[codes[0]]
+    detection = _single_detection(cols[0], r) if kind == VERDICT_BOUND else None
+    return Verdict(kind, report, detection=detection, certificate=certs.get(0))
 
 
-def classify_batch(ps: np.ndarray, tol: float = 1e-9, certify: bool = True):
+def classify_batch(ps: np.ndarray, tol: float = 1e-9):
     """Vectorized pipeline over many states.
 
     Returns (verdicts, witness_labels, witness_values): object/float arrays
@@ -450,29 +492,49 @@ def classify_batch(ps: np.ndarray, tol: float = 1e-9, certify: bool = True):
     per-state `classify` additionally cross-checks the eigenvalue oracle.
     """
     ps = np.asarray(ps, dtype=float)
-    n = ps.shape[0]
-    ineq_min = ppt_inequalities_batch(ps).min(axis=1)
-    ppt_mask = ineq_min >= -tol
-    rs = ps @ SIGNS.T
-    ids = all_family_ids()
-    valid = set(validated_ids())
-    cols = [i for i, id_ in enumerate(ids) if id_ in valid]
-    table = nonlinear_values_batch(rs)[:, cols]
-    argmin = np.argmin(table, axis=1)
-    vmin = table[np.arange(n), argmin]
-    detected = ppt_mask & (vmin < -tol)
-    verdicts = np.where(ppt_mask, VERDICT_UNDECIDED, VERDICT_NPT).astype(object)
-    labels = np.full(n, "", dtype=object)
-    values = np.full(n, np.nan)
-    for i in np.flatnonzero(detected):
-        verdicts[i] = VERDICT_BOUND
-        labels[i] = ids[cols[argmin[i]]].label
-        values[i] = vmin[i]
-    if certify:
-        for i in np.flatnonzero(ppt_mask & ~detected):
-            if certify_separable(ps[i], tol) is not None:
-                verdicts[i] = VERDICT_SEPARABLE
-    return verdicts, labels, values
+    codes, cols, values, _ = _classify_rows(ps, ps @ SIGNS.T, tol)
+    detected = codes == _BOUND
+    labels = np.where(detected, _LABELS[cols], "")
+    return _VERDICTS[codes], labels, np.where(detected, values, np.nan)
+
+
+def _single_detection(col: int, r: np.ndarray) -> tuple[NonlinearFamilyId, float]:
+    """One state's best id, valued by the scalar closed form.
+
+    math.hypot and np.hypot differ in the last bit on a few states; the
+    scalar value keeps the digits that classify has always printed.
+    """
+    id_ = _IDS[col]
+    return id_, nonlinear_value(id_, r)
+
+
+def _classify_rows(ps: np.ndarray, rs: np.ndarray, tol: float):
+    """The one classification core behind classify, detect_bound and classify_batch.
+
+    Returns (codes, cols, values, certificates): verdict codes indexing
+    _VERDICTS, each row's most negative envelope column and its value, and
+    the certificate of every row certified separable, keyed by row.  Only
+    PPT rows inside certificate_mask reach the scalar builders.  The caller
+    passes the rows' correlations rs: BLAS sums one row and a batch in
+    different orders, so each entry point keeps its own rounding.
+    """
+    ppt_mask = ppt_inequalities_batch(ps).min(axis=1) >= -tol
+    table = nonlinear_values_batch(rs)
+    cols = np.argmin(table, axis=1)
+    values = np.take_along_axis(table, cols[:, None], axis=1)[:, 0]
+    detected = ppt_mask & (values < -tol)
+    codes = np.where(ppt_mask, _UNDECIDED, _NPT)
+    codes[detected] = _BOUND
+    certs = {}
+    for i in np.flatnonzero(ppt_mask & certificate_mask(ps)):
+        cert = certify_separable(ps[i], tol)
+        if cert is None:
+            continue
+        if detected[i]:
+            raise RuntimeError("state both detected and certified separable")
+        codes[i] = _SEPARABLE
+        certs[int(i)] = cert
+    return codes, cols, values, certs
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 All randomness flows from a single seed through a documented split: state
 index space is cut into fixed blocks of 4096 and block b draws from
 numpy's default_rng seeded with SeedSequence((seed, b)), which mixes the
-pair into an independent stream per block.  Outputs are therefore
-byte-identical for a given (command, flags, seed), independent of the
-worker count (capped by the MUBW_THREADS environment variable).
+pair into an independent stream per block.  `sample` generates,
+classifies and writes one block at a time in index order, so its memory
+is O(block) whatever n is, and outputs are byte-identical for a given
+(command, flags, seed).
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,17 +48,27 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_text(s: str) -> str:
+    """RFC 4180 minimal quoting: witness labels such as W+1,-(4,7),(5,6) hold commas."""
+    if "," in s or '"' in s or "\n" in s or "\r" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def sample_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform points on the probability simplex (normalized exponentials)."""
     e = rng.exponential(1.0, size=(n, 8))
     return e / e.sum(axis=1, keepdims=True)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("MUBW_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +78,8 @@ def _worker_count() -> int:
 
 def _parse_state(args) -> np.ndarray:
     if args.state_file:
-        text = open(args.state_file).read().strip()
+        with open(args.state_file) as fh:
+            text = fh.read().strip()
         values = [float(v) for v in text.split(",")]
         return pauli.as_probs(values)
     if args.p:
@@ -105,7 +117,7 @@ def cmd_classify(args) -> int:
             ],
         }
     if args.json:
-        print(json.dumps(record))
+        print(json.dumps(record, allow_nan=False))
         return 0
     print(f"verdict: {verdict.kind}")
     print(f"ppt: {'pass' if verdict.ppt.passed else 'fail'}  "
@@ -162,56 +174,44 @@ class SampleReport:
         return out
 
 
-def _sample_block(seed: int, block: int, count: int, tol: float):
-    rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
-    ps = sample_simplex(rng, count)
-    verdicts, labels, values = classify_batch(ps, tol=tol)
-    return ps, verdicts, labels, values
+_SAMPLE_HEADER = "index,p1,p2,p3,p4,p5,p6,p7,p8,verdict,witness,witness_value\n"
+_SAMPLE_ROW = "%d," + "%.17g," * 8 + "%s,%s,%s\n"
+
+
+def _sample_csv(start: int, ps, verdicts, labels, values, detected) -> str:
+    """One block's CSV rows as a single string."""
+    witness = [""] * len(ps)
+    value = [""] * len(ps)
+    for i in np.flatnonzero(detected):
+        witness[i] = _csv_text(labels[i])
+        value[i] = _fmt(values[i])
+    return "".join([
+        _SAMPLE_ROW % (k, *p, v, w, x)
+        for k, p, v, w, x in zip(range(start, start + len(ps)), ps.tolist(),
+                                 verdicts.tolist(), witness, value)
+    ])
 
 
 def run_sample(n: int, seed: int, tol: float = 1e-9, csv_path: str | None = None):
     """Classify n uniform-simplex states; returns the aggregate report."""
-    blocks = [(b, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
-              for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE)]
-    workers = _worker_count()
-    results = []
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda bc: _sample_block(seed, bc[0], bc[1], tol), blocks))
-    else:
-        results = [_sample_block(seed, b, c, tol) for b, c in blocks]
     n_ppt = n_det = n_sep = n_und = 0
-    tallies: dict[str, int] = {}
-    writer = None
-    handle = None
-    if csv_path:
-        handle = open(csv_path, "w", newline="\n")
-        handle.write("index,p1,p2,p3,p4,p5,p6,p7,p8,verdict,witness,witness_value\n")
-    index = 0
-    for ps, verdicts, labels, values in results:
-        for row in range(ps.shape[0]):
-            v = verdicts[row]
-            if v != VERDICT_NPT:
-                n_ppt += 1
-            if v == VERDICT_BOUND:
-                n_det += 1
-                tallies[labels[row]] = tallies.get(labels[row], 0) + 1
-            elif v == VERDICT_SEPARABLE:
-                n_sep += 1
-            elif v == VERDICT_UNDECIDED:
-                n_und += 1
+    tallies: Counter[str] = Counter()
+    with open(csv_path, "w", newline="\n") if csv_path else nullcontext() as handle:
+        if handle:
+            handle.write(_SAMPLE_HEADER)
+        for block, start in enumerate(range(0, n, BLOCK_SIZE)):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+            ps = sample_simplex(rng, min(BLOCK_SIZE, n - start))
+            verdicts, labels, values = classify_batch(ps, tol=tol)
+            detected = verdicts == VERDICT_BOUND
+            n_ppt += int(np.count_nonzero(verdicts != VERDICT_NPT))
+            n_det += int(np.count_nonzero(detected))
+            n_sep += int(np.count_nonzero(verdicts == VERDICT_SEPARABLE))
+            n_und += int(np.count_nonzero(verdicts == VERDICT_UNDECIDED))
+            tallies.update(labels[detected].tolist())
             if handle:
-                fields = [str(index)] + [_fmt(x) for x in ps[row]] + [str(v)]
-                if v == VERDICT_BOUND:
-                    fields += [labels[row], _fmt(values[row])]
-                else:
-                    fields += ["", ""]
-                handle.write(",".join(fields) + "\n")
-            index += 1
-    if handle:
-        handle.close()
-    report = SampleReport(
+                handle.write(_sample_csv(start, ps, verdicts, labels, values, detected))
+    return SampleReport(
         n_total=n,
         n_ppt=n_ppt,
         n_detected=n_det,
@@ -219,9 +219,8 @@ def run_sample(n: int, seed: int, tol: float = 1e-9, csv_path: str | None = None
         n_undecided=n_und,
         fraction_detected_of_ppt=(n_det / n_ppt) if n_ppt else 0.0,
         seed=seed,
-        witness_tallies=tallies,
+        witness_tallies=dict(tallies),
     )
-    return report
 
 
 def cmd_sample(args) -> int:
@@ -365,6 +364,8 @@ def cmd_region(args) -> int:
 def _csv_field(v) -> str:
     if isinstance(v, float):
         return _fmt(v)
+    if isinstance(v, str):
+        return _csv_text(v)
     return str(v)
 
 
@@ -397,15 +398,15 @@ def suite_envelope(n_states: int = 100, n_psi: int = 10000, seed: int = 1):
     rs = ps @ pauli.SIGNS.T
     psis = np.linspace(0.0, 2.0 * math.pi, n_psi, endpoint=False)
     cosv, sinv = np.cos(psis), np.sin(psis)
+    closed = witness.nonlinear_values_batch(rs)
     worst = 0.0
-    for id_ in witness.all_family_ids():
+    for col, id_ in enumerate(witness.all_family_ids()):
         (j, k), (l, m) = id_.partition
         a = rs[:, j - 1] + id_.inner_sign * rs[:, k - 1]
         b = rs[:, l - 1] + id_.inner_sign * rs[:, m - 1]
         base = 1.0 + id_.outer_sign * rs[:, id_.z_index - 1]
         grid_min = base + (np.outer(a, cosv) + np.outer(b, sinv)).min(axis=1)
-        closed = base - np.hypot(a, b)
-        worst = max(worst, float(np.max(np.abs(grid_min - closed))))
+        worst = max(worst, float(np.max(np.abs(grid_min - closed[:, col]))))
     ok = worst <= 1e-6
     return ok, f"states={n_states} ids=36 psi_grid={n_psi} max_gap={worst:.3e}"
 
@@ -499,6 +500,9 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        print("error: --n must be at least 1", file=sys.stderr)
+        return 2
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
@@ -534,14 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", help="8 comma-separated probabilities")
     g.add_argument("--r", help="7 comma-separated correlation coefficients")
     g.add_argument("--state-file", help="file with one line of 8 comma-separated values")
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=_tolerance, default=1e-9)
     c.add_argument("--json", action="store_true", help="emit one JSON record")
     c.set_defaults(func=cmd_classify)
 
     s = sub.add_parser("sample", help="seeded Monte Carlo classification")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--tol", type=float, default=1e-9)
+    s.add_argument("--tol", type=_tolerance, default=1e-9)
     s.add_argument("--out", help="per-state CSV path")
     s.set_defaults(func=cmd_sample)
 
@@ -554,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--samples", type=int, default=0,
                    help="classification samples per feasible cell")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--tol", type=float, default=1e-9)
+    r.add_argument("--tol", type=_tolerance, default=1e-9)
     r.set_defaults(func=cmd_region)
 
     v = sub.add_parser("verify", help="cross-module property suites")

@@ -43,8 +43,6 @@ class LocalUnitary:
     kind: str
     u: np.ndarray
 
-    _SQ2 = 1.0 / np.sqrt(2.0)
-
 
 def local_unitary(kind: str) -> LocalUnitary:
     s = 1.0 / np.sqrt(2.0)

@@ -9,6 +9,8 @@ the two coordinate systems are related by an exact +-1 linear map.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 PAULI_1Q = {
@@ -96,6 +98,11 @@ def ghz_projectors() -> np.ndarray:
     return np.einsum("ki,kj->kij", basis, basis.conj())
 
 
+# Built once: every density and certificate term is a sum over these.
+GHZ_PROJECTORS = ghz_projectors()
+GHZ_PROJECTORS.setflags(write=False)
+
+
 def as_probs(p, tol: float = 1e-12) -> np.ndarray:
     """Validate and return a probability vector over the GHZ basis."""
     arr = np.asarray(p, dtype=float)
@@ -103,8 +110,11 @@ def as_probs(p, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"expected 8 probabilities, got shape {arr.shape}")
     if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
         raise ValueError(f"probabilities outside [0, 1]: {arr}")
-    if abs(arr.sum() - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
+    total = arr.sum()
+    if not math.isfinite(total):  # a NaN passes both range tests
+        raise ValueError("probabilities must be finite numbers")
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
     return arr
 
 
@@ -115,6 +125,8 @@ def as_rvec(r, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"expected 7 correlation coefficients, got shape {arr.shape}")
     if np.any(np.abs(arr) > 1.0 + tol):
         raise ValueError(f"correlation coefficients outside [-1, 1]: {arr}")
+    if not math.isfinite(arr.sum()):  # a NaN passes the range test
+        raise ValueError("correlation coefficients must be finite numbers")
     return arr
 
 
@@ -139,7 +151,7 @@ def p_from_r(r, tol: float = 1e-12) -> np.ndarray:
 def density_from_p(p) -> np.ndarray:
     """Density matrix sum_i p_i |psi_i><psi_i| in the computational basis."""
     arr = as_probs(p)
-    return np.tensordot(arr, ghz_projectors(), axes=(0, 0))
+    return np.tensordot(arr, GHZ_PROJECTORS, axes=(0, 0))
 
 
 def density_from_r(r) -> np.ndarray:
@@ -154,7 +166,7 @@ def density_from_r(r) -> np.ndarray:
 def densities_from_p_batch(ps: np.ndarray) -> np.ndarray:
     """Densities for a batch of probability vectors, shape (n, 8, 8)."""
     ps = np.asarray(ps, dtype=float)
-    return np.tensordot(ps, ghz_projectors(), axes=(1, 0))
+    return np.tensordot(ps, GHZ_PROJECTORS, axes=(1, 0))
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:

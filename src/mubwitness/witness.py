@@ -156,17 +156,34 @@ def nonlinear_value(id_: NonlinearFamilyId, r) -> float:
     return float(1.0 + id_.outer_sign * rv[id_.z_index - 1] - math.hypot(a, b))
 
 
+def _id_sign_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed selections of r for every id, in scan order.
+
+    Column c of each matrix gives id c's +-r_i, pair sum a and pair sum b.
+    Each column has at most two nonzero entries, both +-1, so r @ matrix
+    rounds once, exactly as the scalar r_j +- r_k does.
+    """
+    z_sign, pair_a, pair_b = np.zeros((3, 7, 36))
+    for col, id_ in enumerate(all_family_ids()):
+        (j, k), (l, m) = id_.partition
+        z_sign[id_.z_index - 1, col] = id_.outer_sign
+        pair_a[[j - 1, k - 1], col] = 1.0, id_.inner_sign
+        pair_b[[l - 1, m - 1], col] = 1.0, id_.inner_sign
+    return z_sign, pair_a, pair_b
+
+
+_Z_SIGN, _PAIR_A, _PAIR_B = _id_sign_matrices()
+
+
 def nonlinear_values_batch(rs: np.ndarray) -> np.ndarray:
     """Envelope values for all 36 ids, shape (n, 36); columns follow all_family_ids()."""
     rs = np.atleast_2d(np.asarray(rs, dtype=float))
-    out = np.empty((rs.shape[0], 36))
-    for col, id_ in enumerate(all_family_ids()):
-        (j, k), (l, m) = id_.partition
-        a = rs[:, j - 1] + id_.inner_sign * rs[:, k - 1]
-        b = rs[:, l - 1] + id_.inner_sign * rs[:, m - 1]
-        out[:, col] = (
-            1.0 + id_.outer_sign * rs[:, id_.z_index - 1] - np.hypot(a, b)
-        )
+    a = rs @ _PAIR_A
+    b = rs @ _PAIR_B
+    np.hypot(a, b, out=a)
+    out = np.matmul(rs, _Z_SIGN, out=b)  # reuse b: two (n, 36) arrays at most
+    out += 1.0
+    out -= a
     return out
 
 

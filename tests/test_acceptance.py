@@ -31,7 +31,6 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_prototype_state():
-    witness.validated_ids()  # warm the one-time witness validation cache
     t0 = time.perf_counter()
     rep = ppt.is_ppt(PROTOTYPE, tol=1e-9)
     all_ineq = bool(rep.quadruples.min() >= 0.0)

@@ -1,9 +1,12 @@
 """Verdict pipeline: categories, detection, and separable certificates."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubwitness import pauli, ppt, witness
 from mubwitness.classify import (
@@ -15,6 +18,7 @@ from mubwitness.classify import (
     CATEGORY_RELATIONS,
     cat1_special,
     category_of,
+    certificate_mask,
     certify_separable,
     classify,
     classify_batch,
@@ -249,6 +253,106 @@ def test_classify_batch_agrees_with_scalar():
         if v.kind == VERDICT_BOUND:
             assert v.detection[0].label == labels[i]
             assert abs(v.detection[1] - values[i]) < 1e-12
+
+
+# --- the certificate mask ----------------------------------------------------
+#
+# Each snap maps a simplex draw q onto one certificate builder's pattern
+# (its equalities hold exactly in exact arithmetic); the result is a
+# probability vector but need not be PPT or certifiable.
+
+
+def _snap_case1(q, k):
+    """Pair k zero, every other pair split evenly."""
+    mass = q[0::2] + q[1::2]
+    mass[k] = 0.0
+    return np.repeat(mass / mass.sum() / 2.0, 2)
+
+
+def _snap_case2(q, k):
+    """Every pair but k split evenly."""
+    p = np.repeat((q[0::2] + q[1::2]) / 2.0, 2)
+    p[2 * k:2 * k + 2] = q[2 * k:2 * k + 2]
+    return p
+
+
+def _snap_cat1(q):
+    """p2 = p4 = 0, p1 = p3, pairs 3 and 4 shifted by one gamma."""
+    u = q[:4].sum() / 2.0
+    a, b = q[4] + q[5], q[6] + q[7]
+    g = min(max((q[4] - q[5] + q[6] - q[7]) / 4.0, -min(a, b) / 2.0), min(a, b) / 2.0)
+    return np.array([u, 0.0, u, 0.0, a / 2 + g, a / 2 - g, b / 2 + g, b / 2 - g])
+
+
+def _snap_cat2(q):
+    """p4 = 0, p3 = p1 + p2, p7 = p3 + p8, p5 - p6 = p1 - p2 where it fits."""
+    m = q[3:].sum()
+    t = 1.0 / (3.0 * (q[0] + q[1]) + 2.0 * q[2] + m)
+    p1, p2, p8, m = q[0] * t, q[1] * t, q[2] * t, m * t
+    d = min(max(p1 - p2, -m), m)
+    return np.array([p1, p2, p1 + p2, 0.0, (m + d) / 2, (m - d) / 2, p1 + p2 + p8, p8])
+
+
+def _snap_cat3(q):
+    """p1 + p3 = 1/2, four equal splits s, p5 = p7 and p6 = p8."""
+    a = 0.5 * (q[0] + q[1]) / max(q[:4].sum(), 1e-300)
+    s = min(a, 0.5 - a) * q[4:].sum()
+    x = s * q[4] / max(q[4] + q[5], 1e-300)
+    return np.array([a, a - s, 0.5 - a, 0.5 - a - s, x, s - x, x, s - x])
+
+
+_SNAPS = ([lambda q, k=k: _snap_case1(q, k) for k in range(4)]
+          + [lambda q, k=k: _snap_case2(q, k) for k in range(4)]
+          + [_snap_cat1, _snap_cat2, _snap_cat3])
+
+_simplex = st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8).filter(
+    lambda w: sum(w) > 1e-3).map(lambda w: np.array(w) / sum(w))
+
+
+@st.composite
+def _states(draw):
+    """A few states: separable-family draws, flat-simplex draws, and snaps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = [fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values()]
+    q = draw(_simplex)
+    states.append(q)
+    states += [snap(q) for snap in _SNAPS]
+    return np.array(states)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_states())
+def test_certificate_mask_sound_and_batch_matches_scalar(ps):
+    mask = certificate_mask(ps)
+    verdicts, labels, values = classify_batch(ps)
+    ineq_min = ppt.ppt_inequalities_batch(ps).min(axis=1)
+    for i, p in enumerate(ps):
+        if ineq_min[i] >= -1e-9 and certify_separable(p) is not None:
+            assert mask[i], p.tolist()
+        v = classify(p)
+        assert v.kind == verdicts[i], p.tolist()
+        if v.kind == VERDICT_BOUND:
+            assert v.detection[0].label == labels[i]
+            assert abs(v.detection[1] - values[i]) <= 1e-12
+        else:
+            assert labels[i] == "" and math.isnan(values[i])
+
+
+def test_certificate_mask_misses_flat_simplex():
+    rng = np.random.default_rng(12)
+    assert not certificate_mask(random_probs(rng, 20_000)).any()
+
+
+def test_classify_batch_raises_on_detected_and_certified(monkeypatch):
+    module = importlib.import_module("mubwitness.classify")
+
+    def fake_certificate(p, tol=1e-9):
+        return module.SeparableCertificate((), 0.0, "fake")
+
+    monkeypatch.setattr(module, "certificate_mask", lambda ps: np.ones(len(ps), bool))
+    monkeypatch.setattr(module, "certify_separable", fake_certificate)
+    with pytest.raises(RuntimeError, match="both detected and certified"):
+        classify_batch(PROTOTYPE[None, :])
 
 
 # --- soundness and the category theorems --------------------------------------

@@ -2,26 +2,22 @@
 
 import csv
 import json
-import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mubwitness import cli
+from mubwitness import cli, witness
 
 PROTO = "0.043425,0.15308,0.016132,0.19387,0.059793,0.24806,0.18207,0.10357"
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.setdefault("MUBW_THREADS", "2")
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args, python_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "mubwitness.cli", *args],
-        capture_output=True, text=True, env=env,
+        [sys.executable, *python_flags, "-m", "mubwitness.cli", *args],
+        capture_output=True, text=True,
     )
 
 
@@ -56,9 +52,11 @@ def test_classify_r_input():
 def test_classify_state_file(tmp_path):
     path = tmp_path / "state.txt"
     path.write_text(PROTO + "\n")
-    res = run_cli(["classify", "--state-file", str(path)])
+    res = run_cli(["classify", "--state-file", str(path)],
+                  python_flags=("-W", "error::ResourceWarning"))
     assert res.returncode == 0
     assert "bound-detected" in res.stdout
+    assert "ResourceWarning" not in res.stderr
 
 
 def test_classify_malformed_inputs_exit_2():
@@ -68,12 +66,43 @@ def test_classify_malformed_inputs_exit_2():
         assert "error" in res.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--p", "nan,0.2,0.1,0.1,0.1,0.1,0.1,0.1"),
+                                         ("--r", "inf,0,0,0,0,0,0")])
+def test_classify_non_finite_input_exit_2(flag, value):
+    res = run_cli(["classify", flag, value, "--json"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "--p", PROTO],
+    ["sample", "--n", "10", "--out"],
+    ["region", "--plane", "cat1-triangle", "--grid", "4", "--out"],
+])
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+def test_bad_tolerance_exit_2(tmp_path, command, tol):
+    out = tmp_path / "out.csv"
+    if command[-1] == "--out":
+        command = command + [str(out)]
+    res = run_cli(command + [f"--tol={tol}"])
+    assert res.returncode == 2
+    assert "argument --tol" in res.stderr and "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_verify_n_zero_exit_2():
+    res = run_cli(["verify", "--suite", "oracle", "--n", "0"])
+    assert res.returncode == 2
+    assert res.stderr.strip() == "error: --n must be at least 1"
+
+
 def test_sample_report_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     r1 = run_cli(["sample", "--n", "3000", "--seed", "42", "--out", str(out1)])
-    r2 = run_cli(["sample", "--n", "3000", "--seed", "42", "--out", str(out2)],
-                 env_extra={"MUBW_THREADS": "4"})
+    r2 = run_cli(["sample", "--n", "3000", "--seed", "42", "--out", str(out2)])
     assert r1.returncode == 0 and r2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert r1.stdout.splitlines()[:6] == r2.stdout.splitlines()[:6]
@@ -110,6 +139,46 @@ def test_sample_csv_round_trip(tmp_path):
         if row["verdict"] == "bound-detected":
             assert row["witness"].startswith("W")
             float(row["witness_value"])
+
+
+def _check_quoted_labels(path, n_rows, value_column):
+    labels = {id_.label for id_ in witness.all_family_ids()}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert len(rows) == n_rows
+    bound = [row for row in rows if "bound-detected" in row.values()]
+    assert bound
+    for row in rows:
+        assert None not in row and None not in row.values()
+    for row in bound:
+        assert row["witness"] in labels
+        assert float(row[value_column]) < 0.0
+
+
+def test_csv_witness_labels_quoted(tmp_path):
+    sample = tmp_path / "sample.csv"
+    cli.run_sample(3000, seed=5, csv_path=str(sample))
+    _check_quoted_labels(sample, 3000, "witness_value")
+    triangle = tmp_path / "triangle.csv"
+    res = run_cli(["region", "--plane", "cat1-triangle", "--grid", "16",
+                   "--out", str(triangle)])
+    assert res.returncode == 0
+    _check_quoted_labels(triangle, 17 * 17, "value")
+
+
+def test_run_sample_memory_bounded_in_n(tmp_path):
+    def peak(n):
+        tracemalloc.start()
+        try:
+            cli.run_sample(n, seed=1, csv_path=str(tmp_path / "mem.csv"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(2 * cli.BLOCK_SIZE)
+    large = peak(16 * cli.BLOCK_SIZE)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_sampler_marginals_uniform():
