@@ -227,7 +227,11 @@ def cmd_sample(args) -> int:
     if args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
         return 2
-    report = run_sample(args.n, args.seed, tol=args.tol, csv_path=args.out)
+    try:
+        report = run_sample(args.n, args.seed, tol=args.tol, csv_path=args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for line in report.lines():
         print(line)
     print("note: flat-Dirichlet sampling measure; detection fraction is"
@@ -342,6 +346,9 @@ def cmd_region(args) -> int:
     if args.grid < 2:
         print("error: --grid must be at least 2", file=sys.stderr)
         return 2
+    if args.samples < 0:
+        print("error: --samples must be at least 0", file=sys.stderr)
+        return 2
     if args.plane == "cat1-triangle":
         rows = region_cat1_triangle(args.grid, tol=args.tol)
         header = ["i", "j", "p1", "p2", "status", "witness", "value"]
@@ -351,12 +358,16 @@ def cmd_region(args) -> int:
         header = ["i", "j", "x", "y", "feasible"]
         if args.samples:
             header += ["n_npt", "n_bound", "n_separable", "n_undecided"]
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_field(row.get(h, "")) for h in header) + "\n")
-    if args.svg:
-        write_region_svg(args.svg, rows, args.grid)
+    try:
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_csv_field(row.get(h, "")) for h in header) + "\n")
+        if args.svg:
+            write_region_svg(args.svg, rows, args.grid)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -471,6 +482,19 @@ def suite_witnesses(psi: float = math.pi / 3):
     return all_ok, f"psi={psi:.4f} validated {n_valid}/36 (min product >= -1e-6, negative eigenvalue)"
 
 
+def suite_region(grid: int = 8):
+    """Polygon region cells against the per-cell exact LP oracle, six CLI planes."""
+    mismatched = []
+    cells = 0
+    for name, plane in _PLANES.items():
+        fast = ppt.project_region(plane, grid)
+        cells += len(fast)
+        if fast != ppt.project_region(plane, grid, exhaustive=True):
+            mismatched.append(name)
+    return not mismatched, (f"planes={len(_PLANES)} grid={grid} feasible_cells={cells} "
+                            f"mismatched={','.join(mismatched) or 'none'}")
+
+
 def suite_mub():
     """Unbiasedness of all row pairs plus the stated conversions."""
     rows = mub.mub_table()
@@ -496,6 +520,7 @@ _SUITES = {
     "identities": suite_identities,
     "witnesses": suite_witnesses,
     "mub": suite_mub,
+    "region": suite_region,
 }
 
 

@@ -10,6 +10,7 @@ partially transposed density matrix.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,7 +188,7 @@ def is_ppt(p, tol: float = 1e-9) -> PptReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear-programming feasibility (phase-1 simplex, integer pivoting)
+# Exact linear programming (two-phase simplex, integer pivoting)
 # ---------------------------------------------------------------------------
 
 _RELS = ("<=", ">=", "==")
@@ -216,18 +217,15 @@ def _scaled_rows(constraints, n_vars: int, nonneg: bool):
         b = _to_fraction(rhs)
         if not nonneg:
             cf = [v for c in cf for v in (c, -c)]
-        denom = 1
-        for f in cf + [b]:
-            denom = denom * f.denominator // math.gcd(denom, f.denominator)
-        ints = [int(f * denom) for f in cf]
-        rows.append((ints, rel, int(b * denom)))
+        denom = math.lcm(b.denominator, *(f.denominator for f in cf))
+        ints = [f.numerator * (denom // f.denominator) for f in cf]
+        rows.append((ints, rel, b.numerator * (denom // b.denominator)))
     return rows
 
 
-def _phase1_tableau(rows):
-    """Build the integer phase-1 tableau; returns (tableau, basis, n_struct)."""
+def _phase1_tableau(rows, n_struct: int):
+    """Build the integer phase-1 tableau; returns (tableau, basis, art_cols)."""
     m = len(rows)
-    n_struct = len(rows[0][0]) if m else 0
     slack_rows = []
     # Normalize every row to rhs >= 0 first.
     normed = []
@@ -263,73 +261,128 @@ def _phase1_tableau(rows):
     return tab, basis, art_cols
 
 
-def _lp_phase1(constraints, n_vars: int, nonneg: bool):
-    """Exact phase-1 simplex.  Returns a Fraction solution list or None.
+class _Simplex:
+    """Exact two-phase simplex on one integer tableau (fraction-free pivots).
 
-    Integer pivoting (fraction-free Bareiss updates) keeps every tableau
-    entry an exact integer; Bland's rule prevents cycling.
+    Row i holds den * B^-1 [A | b] for the current basis B, so every entry
+    stays an exact integer (Bareiss), the basic column of row i is den * e_i
+    and that variable's value is tab[i][-1] / den, with den > 0.  An
+    objective row r encodes den * f = r[-1] - sum_j r[j] * x_j over the
+    nonbasic x_j for an f being minimised, so a column with r[j] > 0
+    improves it.  Bland's rule (lowest improving column; ratio ties to the
+    lowest basic column) prevents cycling.  Phase 1 and every phase-2
+    objective share `_optimise` and `_pivot`; a phase-2 call starts from the
+    basis the previous call left optimal.
     """
-    rows = _scaled_rows(constraints, n_vars, nonneg)
-    if not rows:
-        return [Fraction(0)] * n_vars
-    tab, basis, art_cols = _phase1_tableau(rows)
-    m = len(tab)
-    ncols = len(tab[0])
-    art_set = set(art_cols)
-    # Objective row: reduced costs of minimizing the artificial sum.
-    obj = [0] * ncols
-    for i in range(m):
-        if basis[i] in art_set:
-            for j in range(ncols):
-                obj[j] += tab[i][j]
-    for col in art_cols:
-        obj[col] -= 1
-    den = 1
-    while True:
-        enter = -1
-        for j in range(ncols - 1):
-            if obj[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best_num = best_den = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                num = tab[i][-1]
-                if leave < 0 or num * best_den < best_num * a or (
-                    num * best_den == best_num * a and basis[i] < basis[leave]
-                ):
-                    leave, best_num, best_den = i, num, a
-        if leave < 0:
+
+    def __init__(self, constraints, n_vars: int, nonneg: bool):
+        self.n_vars, self.nonneg = n_vars, nonneg
+        self.n_struct = n_vars if nonneg else 2 * n_vars
+        rows = _scaled_rows(constraints, n_vars, nonneg)
+        self.tab, self.basis, self.art_cols = _phase1_tableau(rows, self.n_struct)
+        self.n_cols = len(self.tab[0]) if self.tab else self.n_struct + 1
+        self.den = 1
+
+    def _pivot(self, leave: int, enter: int, objectives) -> None:
+        row_l = self.tab[leave]
+        piv = row_l[enter]
+        if piv < 0:  # only a drive-out pivot can be negative; keep den > 0
+            row_l = self.tab[leave] = [-v for v in row_l]
+            piv = -piv
+        den = self.den
+        for row in (*self.tab, *objectives):
+            if row is not row_l:
+                f = row[enter]
+                row[:] = [(piv * v - f * w) // den for v, w in zip(row, row_l)]
+        self.basis[leave] = enter
+        self.den = piv
+
+    def _optimise(self, obj) -> bool:
+        """Pivot until no column improves obj; False if obj is unbounded."""
+        tab, basis = self.tab, self.basis
+        while True:
+            enter = next((j for j in range(self.n_cols - 1) if obj[j] > 0), -1)
+            if enter < 0:
+                return True
+            leave = -1
+            best_num = best_den = None
+            for i, row in enumerate(tab):
+                a = row[enter]
+                if a > 0:
+                    num = row[-1]
+                    if leave < 0 or num * best_den < best_num * a or (
+                        num * best_den == best_num * a and basis[i] < basis[leave]
+                    ):
+                        leave, best_num, best_den = i, num, a
+            if leave < 0:
+                return False
+            self._pivot(leave, enter, (obj,))
+
+    def phase1(self) -> bool:
+        """Minimise the artificial sum; True iff the constraints are feasible."""
+        art = set(self.art_cols)
+        obj = [0] * self.n_cols
+        for row, col in zip(self.tab, self.basis):
+            if col in art:
+                obj = [o + v for o, v in zip(obj, row)]
+        for col in art:
+            obj[col] -= 1
+        if not self._optimise(obj):
             raise RuntimeError("phase-1 objective unbounded (cannot happen)")
-        piv = tab[leave][enter]
-        new_tab = [row[:] for row in tab]
-        for i in range(m):
-            if i == leave:
+        return obj[-1] == 0  # den-scaled artificial sum at the optimum
+
+    def drop_artificials(self) -> None:
+        """After a feasible phase 1, leave a basis and tableau without artificials.
+
+        Each artificial still basic sits at level 0, so pivoting it out on
+        any nonzero structural or slack entry of its row moves no value; a
+        row with no such entry is a redundant equality and is deleted.
+        """
+        n_keep = self.n_cols - 1 - len(self.tab)  # artificials follow the slacks
+        for i in reversed(range(len(self.tab))):
+            if self.basis[i] < n_keep:
                 continue
-            ti_e = tab[i][enter]
-            row_l = tab[leave]
-            row_i = tab[i]
-            new_row = new_tab[i]
-            for j in range(ncols):
-                new_row[j] = (piv * row_i[j] - ti_e * row_l[j]) // den
-        o_e = obj[enter]
-        new_obj = [(piv * obj[j] - o_e * tab[leave][j]) // den for j in range(ncols)]
-        tab, obj = new_tab, new_obj
-        basis[leave] = enter
-        den = piv
-    if obj[-1] != 0:  # den-scaled artificial sum at optimum; nonzero = infeasible
-        return None
-    solution = [Fraction(0)] * (len(rows[0][0]))
-    for i in range(m):
-        if basis[i] < len(solution):
-            solution[basis[i]] = Fraction(tab[i][-1], den)
-    if nonneg:
-        return solution[:n_vars]
-    return [solution[2 * k] - solution[2 * k + 1] for k in range(n_vars)]
+            enter = next((j for j in range(n_keep) if self.tab[i][j]), -1)
+            if enter < 0:
+                del self.tab[i], self.basis[i]
+            else:
+                self._pivot(i, enter, ())
+        self.tab = [row[:n_keep] + row[-1:] for row in self.tab]
+        self.art_cols, self.n_cols = [], n_keep + 1
+
+    def maximise(self, c):
+        """Max of c . x (integer c) from the current basis, or None if unbounded.
+
+        Needs a feasible basis free of artificials (`phase1`, then
+        `drop_artificials`); the optimal basis is kept for the next call.
+        """
+        cost = [operator.index(v) for v in c]
+        if not self.nonneg:
+            cost = [v for k in cost for v in (k, -k)]
+        cost += [0] * (self.n_cols - len(cost))  # slacks and the rhs column
+        obj = [self.den * v for v in cost]  # f = -c . x, in the den-scaled form
+        for row, col in zip(self.tab, self.basis):
+            if cost[col]:
+                obj = [o - cost[col] * v for o, v in zip(obj, row)]
+        if not self._optimise(obj):
+            return None
+        return Fraction(-obj[-1], self.den)
+
+    def point(self) -> list[Fraction]:
+        """The current basic solution in the caller's variables."""
+        x = [Fraction(0)] * self.n_struct
+        for row, col in zip(self.tab, self.basis):
+            if col < self.n_struct:
+                x[col] = Fraction(row[-1], self.den)
+        if self.nonneg:
+            return x
+        return [x[2 * k] - x[2 * k + 1] for k in range(self.n_vars)]
+
+
+def _lp_phase1(constraints, n_vars: int, nonneg: bool):
+    """Exact phase-1 simplex.  Returns a Fraction solution list or None."""
+    lp = _Simplex(constraints, n_vars, nonneg)
+    return lp.point() if lp.phase1() else None
 
 
 def lp_feasible(constraints, n_vars: int, nonneg: bool = False) -> bool:
@@ -349,6 +402,13 @@ def lp_feasible_point(constraints, n_vars: int, nonneg: bool = False):
 # ---------------------------------------------------------------------------
 # Feasible-region projections
 # ---------------------------------------------------------------------------
+
+
+def _check_plane(plane) -> tuple[int, int]:
+    a, b = plane
+    if not (0 <= a < 8 and 0 <= b < 8 and a != b):
+        raise ValueError(f"invalid plane {plane}")
+    return a, b
 
 
 def _projection_constraints(plane: tuple[int, int], x: Fraction, y: Fraction):
@@ -376,77 +436,87 @@ def _cell_feasible(plane, grid, i, j) -> bool:
     return lp_feasible(cons, len(free), nonneg=True)
 
 
-def _row_witness(plane, grid, j):
-    """A feasible x-value for row y = j/grid, or None if the row is empty.
+def _edge_inequality(u, v) -> tuple[int, int, int]:
+    """The CCW edge u -> v as nx*x + ny*y <= h in lowest integer terms."""
+    nx, ny = v[1] - u[1], u[0] - v[0]  # outward normal
+    terms = (nx, ny, nx * u[0] + ny * u[1])
+    scale = math.lcm(*(t.denominator for t in terms))
+    ints = [int(t * scale) for t in terms]
+    g = math.gcd(*ints)
+    return tuple(t // g for t in ints)
 
-    Solves one LP with the x-coordinate left free (as an extra variable).
+
+def projection_polygon(plane: tuple[int, int]) -> list[tuple[Fraction, Fraction]]:
+    """Exact CCW vertices of the PPT polytope's shadow on (p_a, p_b).
+
+    Support-function hull refinement (Lassez & Lassez 1992): phase 1 runs
+    once on {p >= 0, A p >= 0, sum p = 1}, and each support query
+    max n . (p_a, p_b) is a phase-2 objective started from the previous
+    optimal basis.  The support points in +x, +y, -x, -y seed the hull
+    in CCW order; an edge u -> v is then queried along its outward normal
+    n.  If the maximum is n . u the edge lies on the shadow's boundary,
+    otherwise the maximiser is a new vertex between u and v.  A plane takes
+    8 (triangles) to 10 (quadrilaterals) support queries after phase 1.
     """
-    a, b = plane
-    y = Fraction(j, grid)
-    free = [k for k in range(8) if k != b]  # includes the x coordinate
-    cons = []
-    for row in _INEQ_MATRIX:
-        coeffs = [Fraction(int(row[k])) for k in free]
-        cons.append((coeffs, ">=", -Fraction(int(row[b])) * y))
-    cons.append(([Fraction(1)] * len(free), "==", Fraction(1) - y))
-    sol = lp_feasible_point(cons, len(free), nonneg=True)
-    if sol is None:
-        return None
-    return sol[free.index(a)]
+    a, b = _check_plane(plane)
+    # A p >= 0 as -A p <= 0: every slack starts basic at level 0, so phase 1
+    # only has the sum row's artificial to remove (2 pivots instead of 55).
+    cons = [((-row).tolist(), "<=", 0) for row in _INEQ_MATRIX]
+    cons.append(([1] * 8, "==", 1))
+    lp = _Simplex(cons, 8, nonneg=True)
+    if not lp.phase1():
+        raise RuntimeError("PPT polytope is empty (cannot happen)")
+    lp.drop_artificials()
+
+    def support(nx: int, ny: int):
+        c = [0] * 8
+        c[a], c[b] = nx, ny
+        value = lp.maximise(c)  # bounded: the probability simplex is compact
+        x = lp.point()
+        return value, (x[a], x[b])
+
+    hull = []
+    for direction in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        point = support(*direction)[1]
+        if point not in hull:  # support points of CCW directions are in CCW order
+            hull.append(point)
+    k = 0
+    while k < len(hull):  # the shadow is 2-D: it holds a disc around p = 1/8
+        u, v = hull[k], hull[(k + 1) % len(hull)]
+        nx, ny, h = _edge_inequality(u, v)
+        value, point = support(nx, ny)
+        if value == h:
+            k += 1
+        else:
+            hull.insert(k + 1, point)
+    k = hull.index(min(hull))  # start from the lowest (x, y) vertex
+    return hull[k:] + hull[:k]
 
 
 def project_region(plane: tuple[int, int], grid: int, exhaustive: bool = False):
     """Feasible grid cells of the PPT region projected onto two coordinates.
 
-    A cell (i, j), 0 <= i, j < grid, is classified by its lower-left corner
-    (i/grid, j/grid); rational arithmetic makes the classification exact.
-    The default method finds each row's feasible interval by binary search
-    around an LP witness (the projection of a convex polytope is convex, so
-    every row is an interval); `exhaustive` scans all cells instead.
+    A cell (i, j), 0 <= i, j < grid, is feasible when its lower-left corner
+    (i/grid, j/grid) lies in the projection.  The default method computes
+    the projection once as an exact polygon (`projection_polygon`, about
+    ten warm-started LPs) and tests each corner against the integer form
+    nx*i + ny*j <= h*grid of every edge inequality, so the classification
+    is exact.  `exhaustive` instead solves one exact LP per cell, as an
+    independent oracle.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    a, b = plane
-    if not (0 <= a < 8 and 0 <= b < 8 and a != b):
-        raise ValueError(f"invalid plane {plane}")
-    cells = set()
+    _check_plane(plane)
     if exhaustive:
-        for j in range(grid):
-            for i in range(grid):
-                if _cell_feasible(plane, grid, i, j):
-                    cells.add((i, j))
-        return cells
-    for j in range(grid):
-        witness = _row_witness(plane, grid, j)
-        if witness is None:
-            continue
-        lo_seed = int(witness * grid)  # floor: witness is a nonneg Fraction
-        seed = None
-        for cand in (lo_seed, lo_seed + 1):
-            if 0 <= cand < grid and _cell_feasible(plane, grid, cand, j):
-                seed = cand
-                break
-        if seed is None:
-            continue
-        lo, hi = 0, seed
-        while lo < hi:  # first feasible index in [0, seed]
-            mid = (lo + hi) // 2
-            if _cell_feasible(plane, grid, mid, j):
-                hi = mid
-            else:
-                lo = mid + 1
-        left = lo
-        lo, hi = seed, grid - 1
-        while lo < hi:  # last feasible index in [seed, grid-1]
-            mid = (lo + hi + 1) // 2
-            if _cell_feasible(plane, grid, mid, j):
-                lo = mid
-            else:
-                hi = mid - 1
-        right = lo
-        for i in range(left, right + 1):
-            cells.add((i, j))
-    return cells
+        return {(i, j) for j in range(grid) for i in range(grid)
+                if _cell_feasible(plane, grid, i, j)}
+    vertices = projection_polygon(plane)
+    edges = []
+    for u, v in zip(vertices, vertices[1:] + vertices[:1]):
+        nx, ny, h = _edge_inequality(u, v)
+        edges.append((nx, ny, h * grid))
+    return {(i, j) for j in range(grid) for i in range(grid)
+            if all(nx * i + ny * j <= hg for nx, ny, hg in edges)}
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mubwitness import cli, witness
+from mubwitness import cli, ppt, witness
 
 PROTO = "0.043425,0.15308,0.016132,0.19387,0.059793,0.24806,0.18207,0.10357"
 
@@ -237,10 +238,41 @@ def test_region_bad_plane_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["region", "--plane", "p1p2", "--grid", "4", "--out", "{missing}"],
+    ["region", "--plane", "p1p2", "--grid", "4", "--out", "{ok}", "--svg", "{missing}"],
+    ["sample", "--n", "10", "--out", "{missing}"],
+])
+def test_unwritable_output_exit_2(tmp_path, command):
+    paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "ok": str(tmp_path / "ok.csv")}
+    res = run_cli([arg.format(**paths) for arg in command])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
+def test_region_negative_samples_exit_2(tmp_path):
+    res = run_cli(["region", "--plane", "p1p2", "--grid", "4", "--samples", "-3",
+                   "--out", str(tmp_path / "x.csv")])
+    assert res.returncode == 2
+    assert res.stderr.strip() == "error: --samples must be at least 0"
+
+
+def test_verify_region_suite_catches_wrong_polygon(monkeypatch):
+    assert cli.suite_region(grid=4)[0]
+    triangle = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
+    monkeypatch.setattr(ppt, "projection_polygon", lambda plane: triangle)
+    ok, detail = cli.suite_region(grid=4)
+    assert not ok
+    assert "mismatched=p1p2,p3p4,p5p6,p7p8" in detail
+
+
 def test_verify_all_passes():
     res = run_cli(["verify", "--n", "4000"])
     assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.count("[PASS]") == 5
+    assert res.stdout.count("[PASS]") == 6
+    assert "[PASS] region:" in res.stdout
     assert "[FAIL]" not in res.stdout
 
 

@@ -200,6 +200,72 @@ def test_lp_matches_scipy_on_random_systems():
     assert agree >= 50
 
 
+def test_lp_maximise_matches_scipy_on_random_systems():
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(8)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(80):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(2, 6))
+        nonneg = bool(rng.integers(2))
+        cons = [(rng.integers(-3, 4, size=n).tolist(), str(rel), int(rng.integers(-3, 4)))
+                for rel in rng.choice(["<=", ">=", "=="], size=m, p=[0.5, 0.25, 0.25])]
+        if rng.integers(2):  # a box bounds every objective
+            cons += [([s * int(k == j) for k in range(n)], "<=", 4)
+                     for j in range(n) for s in (1, -1)]
+        if rng.integers(2):  # a redundant row: the same equality twice
+            cons += [(rng.integers(-2, 3, size=n).tolist(), "==", int(rng.integers(-2, 3)))] * 2
+        ub = [(c, r) if rel == "<=" else ([-v for v in c], -r)
+              for c, rel, r in cons if rel != "=="]
+        eq = [(c, r) for c, rel, r in cons if rel == "=="]
+        system = dict(A_ub=[c for c, _ in ub] or None, b_ub=[r for _, r in ub] or None,
+                      A_eq=[c for c, _ in eq] or None, b_eq=[r for _, r in eq] or None,
+                      bounds=[(0, None) if nonneg else (None, None)] * n)
+        lp = ppt._Simplex(cons, n, nonneg)
+        feasible = lp.phase1()
+        if feasible:
+            lp.drop_artificials()
+        for _ in range(3):  # each objective starts from the last optimal basis
+            c = rng.integers(-3, 4, size=n)
+            res = linprog(-c, method="highs", **system)
+            if not feasible:
+                assert res.status == 2
+                statuses["infeasible"] += 1
+                break
+            value = lp.maximise(c.tolist())
+            cold = ppt._Simplex(cons, n, nonneg)
+            assert cold.phase1()
+            cold.drop_artificials()
+            assert cold.maximise(c.tolist()) == value
+            if value is None:
+                assert res.status == 3
+                statuses["unbounded"] += 1
+                continue
+            assert res.status == 0 and abs(float(value) + res.fun) < 1e-9
+            x = lp.point()
+            assert sum(int(ci) * xi for ci, xi in zip(c, x)) == value
+            for coeffs, rel, rhs in cons:
+                lhs = sum(ci * xi for ci, xi in zip(coeffs, x))
+                assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[rel]
+            assert not nonneg or min(x) >= 0
+            statuses["optimal"] += 1
+    assert min(statuses.values()) >= 10, statuses
+
+
+def test_lp_maximise_after_negative_drive_out_pivot():
+    # The feasible set is the point (-2, -2); phase 1 leaves an artificial
+    # at level 0 whose row can only be pivoted out on a negative entry.
+    cons = [([1, 0], ">=", -2), ([1, 0], "<=", -2), ([0, 1], "==", -2),
+            ([-2, -1], ">=", -2)]
+    lp = ppt._Simplex(cons, 2, nonneg=False)
+    assert lp.phase1()
+    lp.drop_artificials()
+    for c in ([1, 0], [0, 1], [-1, -1], [2, -1]):
+        assert lp.maximise(c) == -2 * c[0] - 2 * c[1]
+        assert lp.point() == [-2, -2]
+
+
 def test_lp_projection_example():
     cons, free = ppt._projection_constraints((0, 1), Fraction(3, 10), Fraction(1, 10))
     assert ppt.lp_feasible(cons, len(free), nonneg=True)
@@ -210,10 +276,34 @@ def test_lp_projection_example():
 # --- region projections -----------------------------------------------------
 
 
+CLI_PLANES = ((0, 1), (0, 2), (2, 3), (1, 3), (4, 5), (6, 7))
+
+
 def test_project_region_interval_equals_exhaustive():
-    fast = ppt.project_region((0, 1), 16)
-    slow = ppt.project_region((0, 1), 16, exhaustive=True)
-    assert fast == slow
+    for plane in CLI_PLANES:
+        fast = ppt.project_region(plane, 16)
+        slow = ppt.project_region(plane, 16, exhaustive=True)
+        assert fast == slow, plane
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(8) for b in range(a + 1, 8)])
+def test_polygon_cells_equal_exhaustive_all_pairs(a, b):
+    for plane, grid in (((a, b), 4), ((b, a), 6)):
+        assert ppt.project_region(plane, grid) == ppt.project_region(
+            plane, grid, exhaustive=True), (plane, grid)
+        v = ppt.projection_polygon(plane)
+        turns = [(q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+                 for p, q, r in zip(v, v[1:] + v[:1], v[2:] + v[:2])]
+        assert all(t > 0 for t in turns), (plane, v)  # CCW, no collinear points
+
+
+def test_projection_polygon_exact_vertices():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    quad = ppt.projection_polygon((0, 1))
+    assert quad == [(0, 0), (quarter, 0), (half, half), (0, quarter)]
+    tri = ppt.projection_polygon((0, 2))
+    assert tri == [(0, 0), (half, 0), (0, half)]
+    assert all(type(c) is Fraction for vertex in quad + tri for c in vertex)
 
 
 def test_project_region_p1p2_quadrilateral():
@@ -262,6 +352,8 @@ def test_project_region_validation():
         ppt.project_region((0, 0), 10)
     with pytest.raises(ValueError):
         ppt.project_region((0, 1), 1)
+    with pytest.raises(ValueError):
+        ppt.projection_polygon((3, 8))
 
 
 # --- special family ---------------------------------------------------------
