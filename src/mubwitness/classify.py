@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import GHZ_PROJECTORS, SIGNS, as_probs, density_from_p, r_from_p
+from .pauli import GHZ_PROJECTORS, SIGNS, as_probs, as_probs_batch, density_from_p, r_from_p
 from .ppt import PptReport, is_ppt, ppt_inequalities_batch
 from .witness import (
     NonlinearFamilyId,
@@ -544,10 +544,19 @@ def _classify_rows(ps: np.ndarray, rs: np.ndarray, tol: float):
 
 def cat1_special(p1: float, p2: float) -> np.ndarray:
     """The triangular family (p1, p2, p, 0, p, 0, p, 0), p = (1-p1-p2)/3."""
-    if p1 < 0 or p2 < 0 or p1 + p2 > 1.0 + 1e-12:
+    return cat1_special_batch([p1], [p2])[0]
+
+
+def cat1_special_batch(p1, p2) -> np.ndarray:
+    """cat1_special over arrays of (p1, p2): one (n, 8) array, checked in one pass."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if np.any(p1 < 0) or np.any(p2 < 0) or np.any(p1 + p2 > 1.0 + 1e-12):
         raise ValueError("parameters outside the simplex")
     p = (1.0 - p1 - p2) / 3.0
-    return as_probs(np.clip([p1, p2, p, 0.0, p, 0.0, p, 0.0], 0.0, 1.0))
+    zero = np.zeros_like(p)
+    return as_probs_batch(np.clip(np.stack([p1, p2, p, zero, p, zero, p, zero], axis=1),
+                                  0.0, 1.0))
 
 
 def random_case1(rng: np.random.Generator) -> np.ndarray:

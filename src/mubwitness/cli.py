@@ -12,6 +12,7 @@ is O(block) whatever n is, and outputs are byte-identical for a given
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from .classify import (
     VERDICT_NPT,
     VERDICT_SEPARABLE,
     VERDICT_UNDECIDED,
-    cat1_special,
+    cat1_special_batch,
     classify as classify_state,
     classify_batch,
 )
@@ -65,6 +66,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def sample_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform points on the probability simplex (normalized exponentials)."""
     e = rng.exponential(1.0, size=(n, 8))
@@ -77,12 +88,12 @@ def sample_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _parse_state(args) -> np.ndarray:
-    if args.state_file:
+    if args.state_file is not None:
         with open(args.state_file) as fh:
             text = fh.read().strip()
         values = [float(v) for v in text.split(",")]
         return pauli.as_probs(values)
-    if args.p:
+    if args.p is not None:
         values = [float(v) for v in args.p.split(",")]
         return pauli.as_probs(values)
     values = [float(v) for v in args.r.split(",")]
@@ -244,22 +255,34 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _region_rows_plane(plane, grid, samples, seed, tol):
+def _lattice(n: int):
+    """Column (i) and row (j) indices of an n x n lattice, j major."""
+    j, i = np.divmod(np.arange(n * n), n)
+    return i, j
+
+
+def _region_plane(plane, grid, samples, seed, tol):
+    """The PPT region on a coordinate plane as columns over the grid x grid cells.
+
+    Columns i, j, feasible (0 or 1) and status ("feasible" or "infeasible");
+    with samples, also "tally": each cell's (NPT, bound, separable,
+    undecided) counts of `samples` seeded states, zero off the region.
+    """
+    i, j = _lattice(grid)
+    feasible = np.zeros((grid, grid), dtype=np.int64)
     cells = ppt.project_region(plane, grid)
-    rows = []
-    for j in range(grid):
-        for i in range(grid):
-            feasible = (i, j) in cells
-            row = {
-                "i": i, "j": j,
-                "x": i / grid, "y": j / grid,
-                "feasible": int(feasible),
-            }
-            if samples and feasible:
-                tally = _cell_tally(plane, grid, i, j, samples, seed, tol)
-                row.update(tally)
-            rows.append(row)
-    return rows, cells
+    if cells:
+        ci, cj = np.array(list(cells)).T
+        feasible[cj, ci] = 1
+    feasible = feasible.ravel()
+    columns = {"i": i, "j": j, "feasible": feasible,
+               "status": np.where(feasible == 1, "feasible", "infeasible")}
+    if samples:
+        tally = np.zeros((grid * grid, 4), dtype=np.int64)
+        for k in np.flatnonzero(feasible).tolist():
+            tally[k] = _cell_tally(plane, grid, k % grid, k // grid, samples, seed, tol)
+        columns["tally"] = tally
+    return columns
 
 
 def _cell_tally(plane, grid, i, j, samples, seed, tol):
@@ -275,65 +298,64 @@ def _cell_tally(plane, grid, i, j, samples, seed, tol):
     ps[:, a] = x
     ps[:, b] = y
     verdicts, _, _ = classify_batch(ps, tol=tol)
-    return {
-        "n_npt": int(np.sum(verdicts == VERDICT_NPT)),
-        "n_bound": int(np.sum(verdicts == VERDICT_BOUND)),
-        "n_separable": int(np.sum(verdicts == VERDICT_SEPARABLE)),
-        "n_undecided": int(np.sum(verdicts == VERDICT_UNDECIDED)),
-    }
+    return [np.count_nonzero(verdicts == v)
+            for v in (VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED)]
 
 
 def region_cat1_triangle(grid: int, tol: float = 1e-9):
-    """Classify the triangular family over the (p1, p2) lattice."""
-    points = []
-    states = []
-    for j in range(grid + 1):
-        for i in range(grid + 1):
-            x, y = i / grid, j / grid
-            if x + y > 1.0 + 1e-12:
-                points.append((i, j, x, y, None))
-                continue
-            points.append((i, j, x, y, len(states)))
-            states.append(cat1_special(x, y))
-    if states:
-        verdicts, labels, values = classify_batch(np.array(states), tol=tol)
-    rows = []
-    for i, j, x, y, idx in points:
-        if idx is None:
-            rows.append({"i": i, "j": j, "p1": x, "p2": y, "status": "invalid",
-                         "witness": "", "value": ""})
-        else:
-            rows.append({
-                "i": i, "j": j, "p1": x, "p2": y, "status": str(verdicts[idx]),
-                "witness": labels[idx],
-                "value": _fmt(values[idx]) if verdicts[idx] == VERDICT_BOUND else "",
-            })
-    return rows
+    """Classify the triangular family over the (p1, p2) lattice in one batch.
+
+    Columns over the (grid + 1)^2 points (i/grid, j/grid), j major: i, j,
+    p1, p2, status (a verdict, or "invalid" where p1 + p2 > 1), witness
+    (label, "" unless detected) and value (NaN unless detected).
+    """
+    i, j = _lattice(grid + 1)
+    coord = np.arange(grid + 1) / grid
+    p1, p2 = coord[i], coord[j]
+    valid = p1 + p2 <= 1.0 + 1e-12
+    status = np.full(i.shape, "invalid", dtype=object)
+    labels = np.full(i.shape, "", dtype=object)
+    values = np.full(i.shape, np.nan)
+    status[valid], labels[valid], values[valid] = classify_batch(
+        cat1_special_batch(p1[valid], p2[valid]), tol=tol)
+    return {"i": i, "j": j, "p1": p1, "p2": p2,
+            "status": status, "witness": labels, "value": values}
 
 
-def write_region_svg(path: str, rows, grid: int) -> None:
+def _region_csv(header: str, columns, grid: int, tails) -> str:
+    """A whole region CSV: i, j, i/grid, j/grid and then each cell's tail fields.
+
+    Each coordinate is formatted once per lattice index, not once per cell.
+    """
+    coords = [_fmt(k / grid) for k in range(grid + 1)]
+    return header + "".join([
+        f"{i},{j},{coords[i]},{coords[j]},{tail}\n"
+        for i, j, tail in zip(columns["i"].tolist(), columns["j"].tolist(), tails)
+    ])
+
+
+_SVG_COLORS = {
+    "feasible": "#4477aa", "infeasible": "#eeeeee",
+    VERDICT_NPT: "#eeeeee", VERDICT_BOUND: "#cc3311",
+    VERDICT_SEPARABLE: "#228833", VERDICT_UNDECIDED: "#4477aa",
+    "invalid": "#ffffff",
+}
+
+
+def write_region_svg(path: str, columns, grid: int) -> None:
     """Minimal vector-graphic rendering of a region scan (one rect per cell)."""
-    colors = {
-        "feasible": "#4477aa", "infeasible": "#eeeeee",
-        VERDICT_NPT: "#eeeeee", VERDICT_BOUND: "#cc3311",
-        VERDICT_SEPARABLE: "#228833", VERDICT_UNDECIDED: "#4477aa",
-        "invalid": "#ffffff",
-    }
     size = 800
     cell = size / grid
+    xs = [f"{k * cell:.2f}" for k in range(grid + 1)]
+    ys = [f"{size - (k + 1) * cell:.2f}" for k in range(grid + 1)]
+    side = f"{cell:.2f}"
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}">']
-    for row in rows:
-        status = row.get("status")
-        if status is None:
-            status = "feasible" if row.get("feasible") else "infeasible"
-        color = colors.get(status, "#000000")
-        if color in ("#eeeeee", "#ffffff"):
-            continue
-        x = row["i"] * cell
-        y = size - (row["j"] + 1) * cell
-        parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell:.2f}" '
-                     f'height="{cell:.2f}" fill="{color}"/>')
+    for i, j, status in zip(columns["i"].tolist(), columns["j"].tolist(), columns["status"]):
+        color = _SVG_COLORS.get(status, "#000000")
+        if color not in ("#eeeeee", "#ffffff"):
+            parts.append(f'<rect x="{xs[i]}" y="{ys[j]}" width="{side}" '
+                         f'height="{side}" fill="{color}"/>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -350,34 +372,32 @@ def cmd_region(args) -> int:
         print("error: --samples must be at least 0", file=sys.stderr)
         return 2
     if args.plane == "cat1-triangle":
-        rows = region_cat1_triangle(args.grid, tol=args.tol)
-        header = ["i", "j", "p1", "p2", "status", "witness", "value"]
+        columns = region_cat1_triangle(args.grid, tol=args.tol)
+        header = "i,j,p1,p2,status,witness,value\n"
+        tails = [f"{s},{_csv_text(w)},{_fmt(v)}" if s == VERDICT_BOUND else f"{s},,"
+                 for s, w, v in zip(columns["status"], columns["witness"],
+                                    columns["value"].tolist())]
     else:
-        rows, _ = _region_rows_plane(_PLANES[args.plane], args.grid,
-                                     args.samples, args.seed, args.tol)
-        header = ["i", "j", "x", "y", "feasible"]
+        columns = _region_plane(_PLANES[args.plane], args.grid,
+                                args.samples, args.seed, args.tol)
+        feasible = columns["feasible"].tolist()
         if args.samples:
-            header += ["n_npt", "n_bound", "n_separable", "n_undecided"]
+            header = "i,j,x,y,feasible,n_npt,n_bound,n_separable,n_undecided\n"
+            tails = ["1,%d,%d,%d,%d" % tuple(t) if f else "0,,,,"
+                     for f, t in zip(feasible, columns["tally"].tolist())]
+        else:
+            header = "i,j,x,y,feasible\n"
+            tails = list(map(str, feasible))
     try:
         with open(args.out, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_csv_field(row.get(h, "")) for h in header) + "\n")
+            fh.write(_region_csv(header, columns, args.grid, tails))
         if args.svg:
-            write_region_svg(args.svg, rows, args.grid)
+            write_region_svg(args.svg, columns, args.grid)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(tails)} rows to {args.out}")
     return 0
-
-
-def _csv_field(v) -> str:
-    if isinstance(v, float):
-        return _fmt(v)
-    if isinstance(v, str):
-        return _csv_text(v)
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +570,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The mubw parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mubw",
         description="Classify three-qubit GHZ-diagonal states, scan PPT regions, "
@@ -569,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sample", help="seeded Monte Carlo classification")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--tol", type=_tolerance, default=1e-9)
     s.add_argument("--out", help="per-state CSV path")
     s.set_defaults(func=cmd_sample)
@@ -582,14 +604,14 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--svg", help="optional SVG rendering path")
     r.add_argument("--samples", type=int, default=0,
                    help="classification samples per feasible cell")
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_seed, default=0)
     r.add_argument("--tol", type=_tolerance, default=1e-9)
     r.set_defaults(func=cmd_region)
 
     v = sub.add_parser("verify", help="cross-module property suites")
     v.add_argument("--suite", default="all", choices=["all"] + sorted(_SUITES))
     v.add_argument("--n", type=int, default=20000)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--inject-bug", default="none", choices=["none", "oracle"],
                    help="negative control: corrupt the named suite's data")
     v.set_defaults(func=cmd_verify)

@@ -210,11 +210,15 @@ def _qubit_state(theta: float, phi: float) -> np.ndarray:
 
 
 def product_state_vector(angles) -> np.ndarray:
-    """Unit-norm threefold tensor product from six Bloch angles."""
+    """Unit-norm threefold tensor product from six Bloch angles.
+
+    The outer products form the same entries, in the same order and with the
+    same roundings, as kron(kron(q1, q2), q3), at a fraction of its overhead.
+    """
     t1, f1, t2, f2, t3, f3 = angles
-    return np.kron(
-        np.kron(_qubit_state(t1, f1), _qubit_state(t2, f2)), _qubit_state(t3, f3)
-    )
+    return np.multiply.outer(
+        np.multiply.outer(_qubit_state(t1, f1), _qubit_state(t2, f2)), _qubit_state(t3, f3)
+    ).ravel()
 
 
 def _as_matrix(w) -> np.ndarray:

@@ -156,21 +156,20 @@ def test_criterion_6_region_geometry():
         (i, j) for j in range(grid) for i in range(grid) if i + j <= grid // 2
     }
 
-    rows = cli.region_cat1_triangle(grid)
+    scan = cli.region_cat1_triangle(grid)
     part_ok = True
-    for row in rows:
-        i, j = row["i"], row["j"]
-        if row["status"] == "invalid":
+    for i, j, status in zip(scan["i"].tolist(), scan["j"].tolist(), scan["status"]):
+        if status == "invalid":
             part_ok &= i + j > grid
             continue
         inside = (i + j >= grid // 4 and 4 * i - 2 * j <= grid
                   and 4 * j - 2 * i <= grid)
         if not inside:
-            part_ok &= row["status"] == VERDICT_NPT
+            part_ok &= status == VERDICT_NPT
         elif 4 * i - 2 * j == grid:
-            part_ok &= row["status"] == VERDICT_SEPARABLE
+            part_ok &= status == VERDICT_SEPARABLE
         else:
-            part_ok &= row["status"] == VERDICT_BOUND
+            part_ok &= status == VERDICT_BOUND
         if not part_ok:
             break
     ok = quad_ok and vertex_ok and tri_ok and part_ok

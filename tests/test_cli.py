@@ -11,6 +11,14 @@ import numpy as np
 import pytest
 
 from mubwitness import cli, ppt, witness
+from mubwitness.classify import (
+    VERDICT_BOUND,
+    VERDICT_NPT,
+    VERDICT_SEPARABLE,
+    cat1_special,
+    cat1_special_batch,
+    classify_batch,
+)
 
 PROTO = "0.043425,0.15308,0.016132,0.19387,0.059793,0.24806,0.18207,0.10357"
 
@@ -75,6 +83,55 @@ def test_classify_non_finite_input_exit_2(flag, value):
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
+@pytest.mark.parametrize("flag", ["--p", "--r", "--state-file"])
+def test_classify_empty_input_exit_2(flag):
+    res = run_cli(["classify", flag, ""])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--n", "5"],
+    ["region", "--plane", "p1p2", "--grid", "4", "--samples", "2", "--out"],
+    ["verify", "--suite", "oracle"],
+])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_exit_2(tmp_path, command, seed):
+    out = tmp_path / "out.csv"
+    if command[-1] == "--out":
+        command = command + [str(out)]
+    res = run_cli(command + ["--seed", seed])
+    assert res.returncode == 2
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    errors = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "argument --seed" in errors[0], res.stderr
+    assert not out.exists()
+
+
+def test_main_reuses_one_parser_across_commands(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    commands = [
+        ["classify", "--p", PROTO, "--json"],
+        ["region", "--plane", "cat1-triangle", "--grid", "6", "--out", str(tmp_path / "a.csv")],
+        ["sample", "--n", "50", "--seed", "3"],
+        ["classify", "--r", "0,0,0,0,0,0,0"],
+        ["region", "--plane", "p3p4", "--grid", "5", "--samples", "2",
+         "--out", str(tmp_path / "b.csv")],
+    ]
+    in_process = []
+    for command in commands:
+        assert cli.main(command) == 0
+        in_process.append(capsys.readouterr().out)
+    tables = [(tmp_path / name).read_bytes() for name in ("a.csv", "b.csv")]
+    for command, out in zip(commands, in_process):
+        res = run_cli(command)
+        assert res.returncode == 0
+        assert res.stdout == out
+    assert tables == [(tmp_path / name).read_bytes() for name in ("a.csv", "b.csv")]
 
 
 @pytest.mark.parametrize("command", [
@@ -201,6 +258,44 @@ def test_region_plane_csv(tmp_path):
     expected = {(i, j) for j in range(16) for i in range(16)
                 if 4 * i - 2 * j <= 16 and 4 * j - 2 * i <= 16 and i + j <= 16}
     assert feasible == expected
+
+
+@pytest.mark.parametrize("grid", [3, 7, 16, 37])
+def test_region_cat1_triangle_columns_match_per_point_reference(grid):
+    # The scalar constructor per point, then one classify_batch, as the scan did before.
+    ij = [(i, j) for j in range(grid + 1) for i in range(grid + 1)]
+    valid = [i / grid + j / grid <= 1.0 + 1e-12 for i, j in ij]
+    states = np.array([cat1_special(i / grid, j / grid)
+                       for (i, j), ok in zip(ij, valid) if ok])
+    verdicts, labels, values = classify_batch(states)
+    status = np.full(len(ij), "invalid", dtype=object)
+    witness_ = np.full(len(ij), "", dtype=object)
+    value = np.full(len(ij), np.nan)
+    status[valid], witness_[valid], value[valid] = verdicts, labels, values
+
+    scan = cli.region_cat1_triangle(grid)
+    assert scan["i"].tolist() == [i for i, _ in ij]
+    assert scan["j"].tolist() == [j for _, j in ij]
+    assert scan["p1"].tolist() == [i / grid for i, _ in ij]
+    assert scan["p2"].tolist() == [j / grid for _, j in ij]
+    assert scan["status"].tolist() == status.tolist()
+    assert scan["witness"].tolist() == witness_.tolist()
+    assert scan["value"].tobytes() == value.tobytes()
+    assert VERDICT_BOUND in status
+    assert (VERDICT_SEPARABLE in status) == (grid % 2 == 0)  # edge 4 p1 - 2 p2 = 1
+
+
+def test_region_cat1_triangle_hypotenuse_rounding():
+    # On the edge p1 + p2 = 1 the residual 1 - p1 - p2 rounds to a tiny
+    # nonzero number: positive at grid 7, negative (and clipped to 0) at 37.
+    for grid, sign in ((7, 1.0), (37, -1.0)):
+        scan = cli.region_cat1_triangle(grid)
+        edge = scan["i"] + scan["j"] == grid
+        residual = 1.0 - scan["p1"][edge] - scan["p2"][edge]
+        assert np.any(sign * residual > 0.0)
+        states = cat1_special_batch(scan["p1"][edge], scan["p2"][edge])
+        assert states[:, 2].tolist() == np.maximum(residual / 3.0, 0.0).tolist()
+        assert all(s == VERDICT_NPT for s in scan["status"][edge])
 
 
 def test_region_cat1_triangle_csv(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubwitness import pauli, ppt, witness
 
@@ -180,6 +182,16 @@ def test_product_state_unit_norm():
         angles = rng.uniform(0, math.pi, 6)
         v = witness.product_state_vector(angles)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=6, max_size=6))
+def test_product_state_vector_is_nested_kron_bit_for_bit(angles):
+    q = [witness._qubit_state(angles[2 * k], angles[2 * k + 1]) for k in range(3)]
+    want = np.kron(np.kron(q[0], q[1]), q[2])
+    got = witness.product_state_vector(angles)
+    assert got.shape == (8,) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_product_expectation_matches_angular_form():
