@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import GHZ_PROJECTORS, SIGNS, as_probs, as_probs_batch, density_from_p, r_from_p
+from .pauli import GHZ_PROJECTORS, SIGNS, as_probs, density_from_p, r_from_p
 from .ppt import PptReport, is_ppt, ppt_inequalities_batch
 from .witness import (
     NonlinearFamilyId,
@@ -548,15 +548,19 @@ def cat1_special(p1: float, p2: float) -> np.ndarray:
 
 
 def cat1_special_batch(p1, p2) -> np.ndarray:
-    """cat1_special over arrays of (p1, p2): one (n, 8) array, checked in one pass."""
+    """cat1_special over arrays of (p1, p2): one (n, 8) array, checked in one pass.
+
+    The guard is the simplex check: once it holds, the clipped rows lie in
+    [0, 1] and sum to 1 within 1e-12.
+    """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    if np.any(p1 < 0) or np.any(p2 < 0) or np.any(p1 + p2 > 1.0 + 1e-12):
+    if not (np.isfinite(p1).all() and np.isfinite(p2).all()) \
+            or np.any(p1 < 0) or np.any(p2 < 0) or np.any(p1 + p2 - 1.0 > 1e-12):
         raise ValueError("parameters outside the simplex")
     p = (1.0 - p1 - p2) / 3.0
     zero = np.zeros_like(p)
-    return as_probs_batch(np.clip(np.stack([p1, p2, p, zero, p, zero, p, zero], axis=1),
-                                  0.0, 1.0))
+    return np.clip(np.stack([p1, p2, p, zero, p, zero, p, zero], axis=1), 0.0, 1.0)
 
 
 def random_case1(rng: np.random.Generator) -> np.ndarray:

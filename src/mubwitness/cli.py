@@ -322,16 +322,11 @@ def region_cat1_triangle(grid: int, tol: float = 1e-9):
             "status": status, "witness": labels, "value": values}
 
 
-def _region_csv(header: str, columns, grid: int, tails) -> str:
-    """A whole region CSV: i, j, i/grid, j/grid and then each cell's tail fields.
-
-    Each coordinate is formatted once per lattice index, not once per cell.
-    """
+def _cells(columns, grid: int):
+    """(i, j, i/grid, j/grid) per cell; each coordinate is formatted once per lattice index."""
     coords = [_fmt(k / grid) for k in range(grid + 1)]
-    return header + "".join([
-        f"{i},{j},{coords[i]},{coords[j]},{tail}\n"
-        for i, j, tail in zip(columns["i"].tolist(), columns["j"].tolist(), tails)
-    ])
+    i, j = columns["i"].tolist(), columns["j"].tolist()
+    return zip(i, j, [coords[k] for k in i], [coords[k] for k in j])
 
 
 _SVG_COLORS = {
@@ -374,29 +369,32 @@ def cmd_region(args) -> int:
     if args.plane == "cat1-triangle":
         columns = region_cat1_triangle(args.grid, tol=args.tol)
         header = "i,j,p1,p2,status,witness,value\n"
-        tails = [f"{s},{_csv_text(w)},{_fmt(v)}" if s == VERDICT_BOUND else f"{s},,"
-                 for s, w, v in zip(columns["status"], columns["witness"],
-                                    columns["value"].tolist())]
+        rows = [f"{i},{j},{x},{y},{s},{_csv_text(w)},{_fmt(v)}\n" if s == VERDICT_BOUND
+                else f"{i},{j},{x},{y},{s},,\n"
+                for (i, j, x, y), s, w, v in zip(_cells(columns, args.grid), columns["status"],
+                                                 columns["witness"], columns["value"].tolist())]
     else:
         columns = _region_plane(_PLANES[args.plane], args.grid,
                                 args.samples, args.seed, args.tol)
+        cells = _cells(columns, args.grid)
         feasible = columns["feasible"].tolist()
         if args.samples:
             header = "i,j,x,y,feasible,n_npt,n_bound,n_separable,n_undecided\n"
-            tails = ["1,%d,%d,%d,%d" % tuple(t) if f else "0,,,,"
-                     for f, t in zip(feasible, columns["tally"].tolist())]
+            rows = [f"{i},{j},{x},{y},1,{t[0]},{t[1]},{t[2]},{t[3]}\n" if f
+                    else f"{i},{j},{x},{y},0,,,,\n"
+                    for (i, j, x, y), f, t in zip(cells, feasible, columns["tally"].tolist())]
         else:
             header = "i,j,x,y,feasible\n"
-            tails = list(map(str, feasible))
+            rows = [f"{i},{j},{x},{y},{f}\n" for (i, j, x, y), f in zip(cells, feasible)]
     try:
         with open(args.out, "w", newline="\n") as fh:
-            fh.write(_region_csv(header, columns, args.grid, tails))
+            fh.write(header + "".join(rows))
         if args.svg:
             write_region_svg(args.svg, columns, args.grid)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {len(tails)} rows to {args.out}")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 

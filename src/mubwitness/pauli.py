@@ -108,32 +108,13 @@ def as_probs(p, tol: float = 1e-12) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (8,):
         raise ValueError(f"expected 8 probabilities, got shape {arr.shape}")
-    return _on_simplex(arr, tol)
-
-
-def as_probs_batch(ps, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return an (n, 8) array of probability vectors in one pass."""
-    arr = np.asarray(ps, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 8:
-        raise ValueError(f"expected rows of 8 probabilities, got shape {arr.shape}")
-    return _on_simplex(arr, tol)
-
-
-def _on_simplex(arr: np.ndarray, tol: float) -> np.ndarray:
-    """arr if every row along its last axis lies on the simplex within tol.
-
-    An error names the first offending row, so a single vector reads as before.
-    """
-    outside = (arr < -tol) | (arr > 1.0 + tol)
-    if outside.any():
-        row = outside.reshape(-1, 8).any(axis=1).argmax()
-        raise ValueError(f"probabilities outside [0, 1]: {arr.reshape(-1, 8)[row]}")
-    totals = arr.sum(axis=-1)
-    if not np.isfinite(totals).all():  # a NaN passes both range tests
+    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
+        raise ValueError(f"probabilities outside [0, 1]: {arr}")
+    total = arr.sum()
+    if not math.isfinite(total):  # a NaN passes both range tests
         raise ValueError("probabilities must be finite numbers")
-    off = np.abs(totals - 1.0) > tol
-    if off.any():
-        raise ValueError(f"probabilities sum to {np.extract(off, totals)[0]!r}, not 1")
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
     return arr
 
 

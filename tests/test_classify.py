@@ -17,6 +17,7 @@ from mubwitness.classify import (
     VERDICT_UNDECIDED,
     CATEGORY_RELATIONS,
     cat1_special,
+    cat1_special_batch,
     category_of,
     certificate_mask,
     certify_separable,
@@ -449,6 +450,25 @@ def test_cat1_special_values():
     assert np.allclose(p, [0.25, 0.125, 0.625 / 3, 0, 0.625 / 3, 0, 0.625 / 3, 0])
     with pytest.raises(ValueError):
         cat1_special(0.7, 0.7)
+
+
+def test_cat1_special_batch_guard_is_the_simplex_check():
+    # Every accepted row passes as_probs (range and sum within 1e-12); the
+    # guard rejects exactly where the clipped row would sum past 1 + 1e-12.
+    edge = 1.0 + 1e-12                   # 1 + 1.0000889e-12 after rounding
+    below = float(np.nextafter(edge, 0.0))  # 1 + 0.9998669e-12
+    p1 = np.array([0.0, 0.25, 0.5, 1.0, below, 0.5 * below, 1.0 + 5e-13])
+    p2 = np.array([0.0, 0.125, 0.5, 0.0, 0.0, 0.5 * below, 4e-13])
+    rows = cat1_special_batch(p1, p2)
+    assert rows.shape == (7, 8)
+    for row in rows:
+        pauli.as_probs(row)
+    for bad in ((edge, 0.0), (0.5 * edge, 0.5 * edge), (-1e-300, 0.5),
+                (0.5, np.nan), (np.nan, 0.0), (np.inf, 0.0)):
+        with pytest.raises(ValueError):
+            cat1_special_batch([0.25, bad[0]], [0.25, bad[1]])
+        with pytest.raises(ValueError):
+            cat1_special(*bad)
 
 
 def test_cat1_triangle_classification():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,11 +263,19 @@ def test_region_plane_csv(tmp_path):
 
 @pytest.mark.parametrize("grid", [3, 7, 16, 37])
 def test_region_cat1_triangle_columns_match_per_point_reference(grid):
-    # The scalar constructor per point, then one classify_batch, as the scan did before.
+    # The family's formula per point in Python floats, then one classify_batch;
+    # the scalar constructor must give the same bits at every point.
     ij = [(i, j) for j in range(grid + 1) for i in range(grid + 1)]
     valid = [i / grid + j / grid <= 1.0 + 1e-12 for i, j in ij]
-    states = np.array([cat1_special(i / grid, j / grid)
-                       for (i, j), ok in zip(ij, valid) if ok])
+    states = []
+    for (i, j), ok in zip(ij, valid):
+        if ok:
+            x, y = i / grid, j / grid
+            p = (1.0 - x - y) / 3.0
+            state = np.clip([x, y, p, 0.0, p, 0.0, p, 0.0], 0.0, 1.0)
+            assert cat1_special(x, y).tobytes() == state.tobytes()
+            states.append(state)
+    states = np.array(states)
     verdicts, labels, values = classify_batch(states)
     status = np.full(len(ij), "invalid", dtype=object)
     witness_ = np.full(len(ij), "", dtype=object)
@@ -296,6 +305,24 @@ def test_region_cat1_triangle_hypotenuse_rounding():
         states = cat1_special_batch(scan["p1"][edge], scan["p2"][edge])
         assert states[:, 2].tolist() == np.maximum(residual / 3.0, 0.0).tolist()
         assert all(s == VERDICT_NPT for s in scan["status"][edge])
+
+
+GOLDEN = Path(__file__).parent / "data" / "region"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("cat1-triangle-7", ["--plane", "cat1-triangle", "--grid", "7"]),
+    ("cat1-triangle-8", ["--plane", "cat1-triangle", "--grid", "8"]),
+    ("p1p2-6", ["--plane", "p1p2", "--grid", "6"]),
+    ("p1p2-6-samples", ["--plane", "p1p2", "--grid", "6", "--samples", "8", "--seed", "5"]),
+])
+def test_region_outputs_match_golden_files(tmp_path, name, args):
+    # Reference outputs of `mubw region`: any byte that changes changes the format.
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert cli.main(["region", *args, "--out", str(out), "--svg", str(svg)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    if (GOLDEN / f"{name}.svg").exists():
+        assert svg.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
 
 
 def test_region_cat1_triangle_csv(tmp_path):
