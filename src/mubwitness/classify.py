@@ -15,15 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import GHZ_PROJECTORS, SIGNS, as_probs, density_from_p, r_from_p
+from .pauli import GHZ_PROJECTORS, SIGNS, as_probs, densities_from_p_batch, r_from_p
 from .ppt import PptReport, is_ppt, ppt_inequalities_batch
-from .witness import (
-    NonlinearFamilyId,
-    all_family_ids,
-    nonlinear_value,
-    nonlinear_values_batch,
-    product_state_vector,
-)
+from .witness import NonlinearFamilyId, all_family_ids, nonlinear_value, nonlinear_values_batch
 
 VERDICT_NPT = "NPT"
 VERDICT_BOUND = "bound-detected"
@@ -164,12 +158,23 @@ def _basis_projector(idx: int) -> np.ndarray:
 
 
 def _product_average(angle_sets) -> np.ndarray:
-    """Equal-weight average of explicit product-state projectors."""
+    """Equal-weight average of explicit product-state projectors.
+
+    The product vectors are built as one array, with the entries, nesting
+    order and roundings of witness.product_state_vector.
+    """
+    angles = np.array(angle_sets, dtype=float)
+    half = angles[:, 0::2] / 2.0
+    q = np.empty(half.shape + (2,), dtype=complex)  # (state, qubit, amplitude)
+    q[..., 0] = np.cos(half)
+    q[..., 1] = np.exp(1j * angles[:, 1::2]) * np.sin(half)
+    vs = q[:, 0, :, None, None] * q[:, 1, None, :, None] * q[:, 2, None, None, :]
+    vs = vs.reshape(len(angles), 8)
+    projectors = vs[:, :, None] * vs.conj()[:, None, :]
     acc = np.zeros((8, 8), dtype=complex)
-    for angles in angle_sets:
-        v = product_state_vector(angles)
-        acc += np.outer(v, v.conj())
-    return acc / len(angle_sets)
+    for proj in projectors:
+        acc += proj
+    return acc / len(angles)
 
 
 def _equatorial_mix_a(phi0: float) -> np.ndarray:
@@ -375,7 +380,7 @@ def certify_separable(p, tol: float = 1e-9, match_tol: float = _MATCH_TOL):
     """
     arr = as_probs(p)
     _require_ppt_cheap(arr, tol)
-    rho = density_from_p(arr)
+    rho = densities_from_p_batch(arr[None, :])[0]  # density_from_p without a second as_probs
     for builder in _CERTIFICATE_BUILDERS:
         out = builder(arr, match_tol)
         if out is None:
@@ -475,8 +480,8 @@ def classify(p, tol: float = 1e-9) -> Verdict:
     The eigenvalue oracle in is_ppt cross-checks the inequalities; the
     verdict itself comes from the batch core on a batch of one.
     """
-    arr = as_probs(p)
-    report = is_ppt(arr, tol)
+    arr = np.asarray(p, dtype=float)
+    report = is_ppt(arr, tol)  # validates arr
     r = SIGNS @ arr
     codes, cols, _, certs = _classify_rows(arr[None, :], r[None, :], tol)
     kind = _VERDICTS[codes[0]]
@@ -513,10 +518,11 @@ def _classify_rows(ps: np.ndarray, rs: np.ndarray, tol: float):
 
     Returns (codes, cols, values, certificates): verdict codes indexing
     _VERDICTS, each row's most negative envelope column and its value, and
-    the certificate of every row certified separable, keyed by row.  Only
-    PPT rows inside certificate_mask reach the scalar builders.  The caller
-    passes the rows' correlations rs: BLAS sums one row and a batch in
-    different orders, so each entry point keeps its own rounding.
+    the certificate of every row certified separable, keyed by row.
+    certificate_mask sees only the PPT rows, and only the rows it keeps
+    reach the scalar builders.  The caller passes the rows' correlations
+    rs: BLAS sums one row and a batch in different orders, so each entry
+    point keeps its own rounding.
     """
     ppt_mask = ppt_inequalities_batch(ps).min(axis=1) >= -tol
     table = nonlinear_values_batch(rs)
@@ -526,7 +532,10 @@ def _classify_rows(ps: np.ndarray, rs: np.ndarray, tol: float):
     codes = np.where(ppt_mask, _UNDECIDED, _NPT)
     codes[detected] = _BOUND
     certs = {}
-    for i in np.flatnonzero(ppt_mask & certificate_mask(ps)):
+    cand = np.flatnonzero(ppt_mask)
+    if cand.size:
+        cand = cand[certificate_mask(ps[cand])]
+    for i in cand:
         cert = certify_separable(ps[i], tol)
         if cert is None:
             continue

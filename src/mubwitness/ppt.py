@@ -4,11 +4,17 @@ Positivity of the three partial transposes is equivalent, on this family,
 to 24 linear inequalities in the mixing probabilities, grouped as six
 quadruples.  Both routes are implemented and cross-checked: the signed
 sums, and a similarity-rotation (Jacobi) eigenvalue solver applied to the
-partially transposed density matrix.
+partially transposed density matrix.  The solver is generic: each sweep
+visits every off-diagonal pair once, in round-robin rounds of disjoint
+pairs that are rotated together.  A GHZ-diagonal partial transpose is
+X-shaped, so only the round of pairs (i, 7 - i) ever rotates, each pair on
+its own 2x2 block, and the eigenvalues equal those of a cyclic
+pair-by-pair sweep bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -34,6 +40,7 @@ _QUAD_SIGNS = np.array(
 
 # Groups produced by transposing each qubit: qubit 1 -> groups 0, 1; etc.
 GROUPS_BY_QUBIT = ((0, 1), (2, 3), (4, 5))
+_QUBIT_GROUPS = np.array(GROUPS_BY_QUBIT)
 
 
 def inequality_matrix() -> np.ndarray:
@@ -86,49 +93,87 @@ def partial_transpose(rho: np.ndarray, qubit: int) -> np.ndarray:
     return t.transpose(axes).reshape(8, 8)
 
 
-def _jacobi_batch(mats: np.ndarray, sweeps: int = 14, tol: float = 1e-14) -> np.ndarray:
-    """Eigenvalues of a stack of Hermitian matrices by cyclic Jacobi rotations.
+@functools.lru_cache(maxsize=None)
+def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """One Jacobi sweep over a d x d matrix as rounds of disjoint (p, q) pairs.
 
-    Each sweep annihilates every off-diagonal pair once; convergence is
-    quadratic and 8x8 inputs settle well before the sweep cap.
-    Returns the sorted eigenvalues, shape (n, d).
+    The circle method: seat 0 stays fixed while the other seats rotate by
+    one place per round, and the seats facing each other form the round's
+    pairs, written p < q.  Every pair comes up exactly once per sweep: in
+    d - 1 rounds of d / 2 pairs for even d, and for odd d in d rounds of
+    (d - 1) / 2 pairs, where the index facing a phantom seat d sits the
+    round out.  The first round of d = 8 is (0, 7), (1, 6), (2, 5), (3, 4).
+    Returns the (P, Q) index arrays of each round.
+    """
+    m = d + d % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        seats = [0] + ring
+        pairs = sorted((min(a, b), max(a, b)) for a, b in zip(seats[: m // 2], seats[::-1])
+                       if max(a, b) < d)
+        if pairs:
+            p, q = zip(*pairs)
+            rounds.append((np.array(p), np.array(q)))
+        ring = ring[-1:] + ring[:-1]
+    return tuple(rounds)
+
+
+def _jacobi_batch(mats: np.ndarray, sweeps: int = 14, tol: float = 1e-14) -> np.ndarray:
+    """Eigenvalues of a stack of Hermitian matrices by round-robin Jacobi rotations.
+
+    Each sweep annihilates every off-diagonal pair once, in the rounds of
+    _round_robin: the pairs of a round are disjoint, so their rotations are
+    applied together, each with the same per-element formula, and a round
+    whose pairs are all zero is skipped.  Convergence is quadratic and 8x8
+    inputs settle well before the sweep cap.  Returns the sorted
+    eigenvalues, shape (n, d).
+
+    A GHZ-diagonal partial transpose is X-shaped: its only off-diagonal
+    entries sit on the disjoint pairs (i, 7 - i), which form the first
+    round.  Each rotation then works on its own 2x2 block with the same
+    operations as a cyclic pair-by-pair sweep, and every other entry stays
+    0, so the eigenvalues are bit for bit those of the cyclic order.
     """
     a = np.array(mats, dtype=complex)
     if a.ndim == 2:
         a = a[None, :, :]
     n, d, _ = a.shape
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
+    if a.size == 0:
+        return np.empty((n, d))
+    scale = max(1.0, float(np.abs(a).max()))
+    # The off-diagonal entries as a view: drop each row's diagonal by
+    # reading the flattened matrix in strides of d + 1 after the first entry.
+    offdiag = a.reshape(n, d * d)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d]
     for _ in range(sweeps):
-        off = np.max(np.abs(a - np.einsum("nij,ij->nij", a, np.eye(d))))
-        if off <= tol * scale:
+        if np.abs(offdiag).max(initial=0.0) <= tol * scale:
             break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[:, p, q]
-                aabs = np.abs(apq)
-                active = aabs > tol * scale * 1e-2
-                if not np.any(active):
-                    continue
-                safe = np.where(active, aabs, 1.0)
-                phase = np.where(active, apq / safe, 1.0)
-                app = a[:, p, p].real
-                aqq = a[:, q, q].real
-                tau = (aqq - app) / (2.0 * safe)
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                t = np.where(tau == 0.0, 1.0, t)  # 45-degree rotation when diagonal ties
-                t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, :, p].copy()
-                col_q = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * col_p - (s * np.conj(phase))[:, None] * col_q
-                a[:, :, q] = (s * phase)[:, None] * col_p + c[:, None] * col_q
-                row_p = a[:, p, :].copy()
-                row_q = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * row_p - (s * phase)[:, None] * row_q
-                a[:, q, :] = (s * np.conj(phase))[:, None] * row_p + c[:, None] * row_q
-    eigs = np.sort(np.einsum("nii->ni", a).real, axis=1)
-    return eigs
+        for p, q in _round_robin(d):
+            apq = a[:, p, q]
+            aabs = np.abs(apq)
+            active = aabs > tol * scale * 1e-2
+            if not active.any():
+                continue
+            safe = np.where(active, aabs, 1.0)
+            phase = np.where(active, apq / safe, 1.0)
+            app = a[:, p, p].real
+            aqq = a[:, q, q].real
+            tau = (aqq - app) / (2.0 * safe)
+            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            t = np.where(tau == 0.0, 1.0, t)  # 45-degree rotation when diagonal ties
+            t = np.where(active, t, 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            sp, sq = s * phase, s * np.conj(phase)
+            col_p = a[:, :, p]  # fancy indexing copies
+            col_q = a[:, :, q]
+            a[:, :, p] = c[:, None] * col_p - sq[:, None] * col_q
+            a[:, :, q] = sp[:, None] * col_p + c[:, None] * col_q
+            row_p = a[:, p, :]
+            row_q = a[:, q, :]
+            a[:, p, :] = c[:, :, None] * row_p - sp[:, :, None] * row_q
+            a[:, q, :] = sq[:, :, None] * row_p + c[:, :, None] * row_q
+    return np.sort(np.einsum("nii->ni", a).real, axis=1)
 
 
 def jacobi_eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -174,15 +219,16 @@ def is_ppt(p, tol: float = 1e-9) -> PptReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    quads = ppt_inequalities(p)
-    min_eigs = pt_min_eigenvalues(p)
-    for q, groups in enumerate(GROUPS_BY_QUBIT):
-        analytic = min(quads[g].min() for g in groups) / 2.0
-        if abs(min_eigs[q] - analytic) > tol:
-            raise RuntimeError(
-                f"PPT oracle disagreement on qubit {q + 1}: "
-                f"eigenvalue {min_eigs[q]} vs inequalities {analytic}"
-            )
+    min_eigs = pt_min_eigenvalues(p)  # validates p, once for the whole report
+    quads = (_INEQ_MATRIX @ np.asarray(p, dtype=float)).reshape(6, 4)
+    analytic = quads[_QUBIT_GROUPS].reshape(3, 8).min(axis=1) / 2.0
+    gaps = np.abs(np.subtract(min_eigs, analytic))
+    if gaps.max() > tol:
+        q = int(np.argmax(gaps > tol))
+        raise RuntimeError(
+            f"PPT oracle disagreement on qubit {q + 1}: "
+            f"eigenvalue {min_eigs[q]} vs inequalities {analytic[q]}"
+        )
     passed = bool(quads.min() >= -tol)
     return PptReport(quadruples=quads, min_eigs=min_eigs, passed=passed, tol=tol)
 

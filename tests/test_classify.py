@@ -356,6 +356,108 @@ def test_classify_batch_raises_on_detected_and_certified(monkeypatch):
         classify_batch(PROTOTYPE[None, :])
 
 
+def _mixed_batch(seed):
+    """Every separable family, flat draws (mostly NPT), detected and pure states."""
+    rng = np.random.default_rng(seed)
+    states = [fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values() for _ in range(6)]
+    states += list(random_probs(rng, 60))
+    states += [PROTOTYPE, CAT1_STATE, CAT2_STATE, np.eye(8)[3], np.full(8, 0.125)]
+    return np.array(states)[rng.permutation(len(states))]
+
+
+def test_certificate_mask_sees_only_ppt_rows(monkeypatch):
+    module = importlib.import_module("mubwitness.classify")
+    ps = _mixed_batch(31)
+    ppt_rows = ppt.ppt_inequalities_batch(ps).min(axis=1) >= -1e-9
+    assert 0 < ppt_rows.sum() < len(ps)
+    seen = []
+
+    def counting_mask(rows):
+        seen.append(rows.copy())
+        return certificate_mask(rows)
+
+    monkeypatch.setattr(module, "certificate_mask", counting_mask)
+    verdicts = classify_batch(ps)[0]
+    assert len(seen) == 1 and np.array_equal(seen[0], ps[ppt_rows])
+    # Reference verdicts with no mask at all: every PPT row tries the builders.
+    envelope = witness.nonlinear_values_batch(ps @ pauli.SIGNS.T).min(axis=1)
+    for i, p in enumerate(ps):
+        if not ppt_rows[i]:
+            want = VERDICT_NPT
+        elif certify_separable(p) is not None:
+            want = VERDICT_SEPARABLE
+        else:
+            want = VERDICT_BOUND if envelope[i] < -1e-9 else VERDICT_UNDECIDED
+        assert verdicts[i] == classify(p).kind == want, p.tolist()
+    assert set(verdicts) == {VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED}
+
+
+def test_certificate_mask_skipped_on_all_npt_batch(monkeypatch):
+    module = importlib.import_module("mubwitness.classify")
+
+    def no_mask(rows):
+        raise AssertionError("certificate_mask called on an NPT batch")
+
+    monkeypatch.setattr(module, "certificate_mask", no_mask)
+    ps = random_probs(np.random.default_rng(32), 400)
+    ps = ps[ppt.ppt_inequalities_batch(ps).min(axis=1) < -1e-9]
+    assert set(classify_batch(ps)[0]) == {VERDICT_NPT}
+    assert classify(ps[0]).kind == VERDICT_NPT
+
+
+def test_classify_validates_once_outside_the_certificates(monkeypatch):
+    real = pauli.as_probs
+    calls = []
+
+    def counting_as_probs(p, tol=1e-12):
+        calls.append(1)
+        return real(p, tol)
+
+    for mod in (pauli, ppt, importlib.import_module("mubwitness.classify")):
+        if getattr(mod, "as_probs", None) is real:
+            monkeypatch.setattr(mod, "as_probs", counting_as_probs)
+    for p in _mixed_batch(33):
+        calls.clear()
+        v = classify(p)
+        # certify_separable, being public, validates again the rows the mask keeps.
+        masked = v.kind != VERDICT_NPT and certificate_mask(p[None])[0]
+        assert len(calls) == 1 + masked, p.tolist()
+    with pytest.raises(ValueError, match="sum to"):
+        classify([0.5, 0.5, 0.5, 0, 0, 0, 0, 0])
+
+
+def test_classify_runs_the_oracle_cross_check_on_every_verdict(monkeypatch):
+    states = [np.eye(8)[0], PROTOTYPE, np.full(8, 0.125)]
+    assert [classify(p).kind for p in states] == [VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE]
+    real = ppt.pt_min_eigenvalues
+
+    def off_by_1e_6_on_qubit_2(p):
+        e1, e2, e3 = real(p)
+        return e1, e2 + 1e-6, e3
+
+    monkeypatch.setattr(ppt, "pt_min_eigenvalues", off_by_1e_6_on_qubit_2)
+    for p in states:
+        with pytest.raises(RuntimeError, match="disagreement on qubit 2"):
+            classify(p)
+    assert classify(states[1], tol=1e-5).kind == VERDICT_BOUND
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, -0.0, math.pi / 2, math.pi]))
+def test_product_average_is_the_product_state_loop_bit_for_bit(seed, exact):
+    module = importlib.import_module("mubwitness.classify")
+    angle_sets = np.random.default_rng(seed).uniform(-7.0, 7.0, (8, 6))
+    angle_sets[seed % 8, seed % 6] = exact
+    angle_sets = [tuple(row) for row in angle_sets.tolist()]
+    acc = np.zeros((8, 8), dtype=complex)
+    for angles in angle_sets:
+        v = witness.product_state_vector(angles)
+        acc += np.outer(v, v.conj())
+    ref = acc / len(angle_sets)
+    assert module._product_average(angle_sets).view(np.int64).tolist() == \
+        ref.view(np.int64).tolist()
+
+
 # --- soundness and the category theorems --------------------------------------
 
 

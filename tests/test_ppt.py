@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubwitness import pauli, ppt
+from mubwitness.classify import SEPARABLE_CONSTRUCTORS
 
 
 def random_probs(rng, n):
@@ -85,6 +88,118 @@ def test_jacobi_small_dimension():
     a = rng.standard_normal((20, 4, 4)) + 1j * rng.standard_normal((20, 4, 4))
     h = (a + a.conj().transpose(0, 2, 1)) / 2
     assert np.max(np.abs(ppt._jacobi_batch(h) - np.sort(np.linalg.eigvalsh(h), 1))) < 1e-12
+
+
+def _cyclic_jacobi_reference(mats, sweeps=14, tol=1e-14):
+    """The pair-by-pair cyclic Jacobi loop, (0, 1), (0, 2), ..., (d-2, d-1)."""
+    a = np.array(mats, dtype=complex)
+    n, d, _ = a.shape
+    scale = max(1.0, float(np.max(np.abs(a))))
+    for _ in range(sweeps):
+        off = np.max(np.abs(a - np.einsum("nij,ij->nij", a, np.eye(d))))
+        if off <= tol * scale:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[:, p, q]
+                aabs = np.abs(apq)
+                active = aabs > tol * scale * 1e-2
+                if not np.any(active):
+                    continue
+                safe = np.where(active, aabs, 1.0)
+                phase = np.where(active, apq / safe, 1.0)
+                app = a[:, p, p].real
+                aqq = a[:, q, q].real
+                tau = (aqq - app) / (2.0 * safe)
+                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                t = np.where(tau == 0.0, 1.0, t)
+                t = np.where(active, t, 0.0)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                col_p = a[:, :, p].copy()
+                col_q = a[:, :, q].copy()
+                a[:, :, p] = c[:, None] * col_p - (s * np.conj(phase))[:, None] * col_q
+                a[:, :, q] = (s * phase)[:, None] * col_p + c[:, None] * col_q
+                row_p = a[:, p, :].copy()
+                row_q = a[:, q, :].copy()
+                a[:, p, :] = c[:, None] * row_p - (s * phase)[:, None] * row_q
+                a[:, q, :] = (s * np.conj(phase))[:, None] * row_p + c[:, None] * row_q
+    return np.sort(np.einsum("nii->ni", a).real, axis=1)
+
+
+def _bits(x):
+    """Raw float64 bits, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def _oracle_states(draw):
+    """A stack of states: every separable family, flat draws, pure GHZ states and I/8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = [fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values()]
+    states += list(random_probs(rng, 4))
+    states.append(np.eye(8)[draw(st.integers(0, 7))])
+    states.append(np.full(8, 0.125))
+    return np.array(states)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_oracle_states())
+def test_round_robin_oracle_matches_cyclic_bit_for_bit(ps):
+    for p in ps:
+        rho = pauli.density_from_p(p)
+        stack = np.stack([ppt.partial_transpose(rho, q) for q in (1, 2, 3)])
+        ref = _cyclic_jacobi_reference(stack)
+        assert _bits(ppt._jacobi_batch(stack)) == _bits(ref), p.tolist()
+        assert _bits(ppt.pt_min_eigenvalues(p)) == _bits(ref[:, 0]), p.tolist()
+    rhos = pauli.densities_from_p_batch(ps).reshape((len(ps),) + (2,) * 6)
+    for k in range(3):
+        axes = [0, 1, 2, 3, 4, 5, 6]
+        axes[1 + k], axes[4 + k] = axes[4 + k], axes[1 + k]
+        pts = rhos.transpose(axes).reshape(len(ps), 8, 8)
+        ref = _cyclic_jacobi_reference(pts)[:, 0]
+        assert _bits(ppt.pt_min_eigenvalues_batch(ps)[:, k]) == _bits(ref)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_round_robin_schedule_visits_every_pair_once(d):
+    rounds = [list(zip(p.tolist(), q.tolist())) for p, q in ppt._round_robin(d)]
+    # d - 1 rounds for even d; odd d needs d rounds, each with one index idle.
+    assert len(rounds) == (0 if d == 1 else d - 1 + d % 2)
+    for pairs in rounds:
+        assert len(pairs) == d // 2
+        assert all(p < q for p, q in pairs)
+        assert len({i for pair in pairs for i in pair}) == 2 * len(pairs)  # disjoint
+    seen = sorted(pair for pairs in rounds for pair in pairs)
+    assert seen == [(p, q) for p in range(d - 1) for q in range(p + 1, d)]
+    if d == 8:  # the pairs that carry a GHZ-diagonal partial transpose
+        assert rounds[0] == [(0, 7), (1, 6), (2, 5), (3, 4)]
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_jacobi_generic_hermitian_any_dimension(d):
+    rng = np.random.default_rng(100 + d)
+    a = rng.standard_normal((50, d, d)) + 1j * rng.standard_normal((50, d, d))
+    h = (a + a.conj().transpose(0, 2, 1)) / 2
+    err = np.max(np.abs(ppt._jacobi_batch(h) - np.linalg.eigvalsh(h)))
+    assert err < (1e-12 if d <= 4 else 1e-11)
+
+
+def test_jacobi_diagonal_and_degenerate():
+    diag = np.diag([3.0, -1.0, 0.5, 2.0, -1.0, 0.0, 7.0])
+    assert _bits(ppt._jacobi_batch(diag)[0]) == _bits(np.sort(np.diag(diag)))
+    rng = np.random.default_rng(9)
+    u, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    spectrum = np.array([-0.5, -0.5, 0.25, 0.25, 0.25, 1.0, 1.0, 2.0])
+    h = (u * spectrum) @ u.conj().T
+    assert np.max(np.abs(ppt._jacobi_batch(h)[0] - spectrum)) < 1e-11
+    tie = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])  # equal diagonal
+    assert np.max(np.abs(ppt._jacobi_batch(tie)[0] - [0.5, 0.5, 2.0])) < 1e-12
+
+
+def test_jacobi_empty_stack():
+    assert ppt._jacobi_batch(np.empty((0, 5, 5))).shape == (0, 5)
+    assert ppt.pt_min_eigenvalues_batch(np.empty((0, 8))).shape == (0, 3)
 
 
 # --- 24 inequalities and the report -----------------------------------------
