@@ -113,8 +113,9 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         pairs = sorted((min(a, b), max(a, b)) for a, b in zip(seats[: m // 2], seats[::-1])
                        if max(a, b) < d)
         if pairs:
-            p, q = zip(*pairs)
-            rounds.append((np.array(p), np.array(q)))
+            pq = np.array(list(zip(*pairs)))  # row 0: p, row 1: q
+            pq.setflags(write=False)  # shared by every caller through the cache
+            rounds.append((pq[0], pq[1]))
         ring = ring[-1:] + ring[:-1]
     return tuple(rounds)
 
