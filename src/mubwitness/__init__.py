@@ -1,5 +1,10 @@
 """Three-qubit GHZ-diagonal states: PPT polytope, envelope entanglement
-witnesses, and bound-entanglement classification."""
+witnesses, and bound-entanglement classification.
+
+`from mubwitness import classify` gives the classify function, as the README
+sketch and the tests expect, so it shadows the submodule of that name; reach
+the module with importlib.import_module("mubwitness.classify").
+"""
 
 from .pauli import (
     H_MATRIX,

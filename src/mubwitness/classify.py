@@ -66,15 +66,6 @@ class CategoryHit:
         si = "+" if self.inner_sign > 0 else "-"
         return f"1{sl}r{self.z_index} = r{self.pair[0]}{si}r{self.pair[1]}"
 
-    @property
-    def witness_id(self) -> NonlinearFamilyId:
-        """The envelope witness whose value turns negative off the branch."""
-        for part in _CONJ_PARTITION.values():
-            if self.pair in part:
-                return NonlinearFamilyId(self.lhs_sign, self.z_index,
-                                         self.inner_sign, part)
-        raise AssertionError("pair not in any partition")
-
 
 def category_of(p, tol: float = 1e-9) -> list[CategoryHit]:
     """All category equalities satisfied by the state within tol."""
@@ -101,10 +92,10 @@ def detect_bound(p, tol: float = 1e-9):
     """
     arr = as_probs(p)
     r = SIGNS @ arr
-    codes, cols, _, _ = _classify_rows(arr[None, :], r[None, :], tol)
-    if codes[0] == _NPT:
+    ppt_mask, cols, _, detected = _detect_rows(arr[None, :], r[None, :], tol)
+    if not ppt_mask[0]:
         raise ValueError("state is not PPT")
-    return _single_detection(cols[0], r) if codes[0] == _BOUND else None
+    return _single_detection(cols[0], r) if detected[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -513,22 +504,30 @@ def _single_detection(col: int, r: np.ndarray) -> tuple[NonlinearFamilyId, float
     return id_, nonlinear_value(id_, r)
 
 
-def _classify_rows(ps: np.ndarray, rs: np.ndarray, tol: float):
-    """The one classification core behind classify, detect_bound and classify_batch.
+def _detect_rows(ps: np.ndarray, rs: np.ndarray, tol: float):
+    """The classification core's detection step, all that detect_bound runs.
 
-    Returns (codes, cols, values, certificates): verdict codes indexing
-    _VERDICTS, each row's most negative envelope column and its value, and
-    the certificate of every row certified separable, keyed by row.
-    certificate_mask sees only the PPT rows, and only the rows it keeps
-    reach the scalar builders.  The caller passes the rows' correlations
-    rs: BLAS sums one row and a batch in different orders, so each entry
-    point keeps its own rounding.
+    Returns (ppt_mask, cols, values, detected): each row's most negative
+    envelope column and its value, and the PPT rows it detects.  The caller
+    passes the rows' correlations rs: BLAS sums one row and a batch in
+    different orders, so each entry point keeps its own rounding.
     """
     ppt_mask = ppt_inequalities_batch(ps).min(axis=1) >= -tol
     table = nonlinear_values_batch(rs)
     cols = np.argmin(table, axis=1)
     values = np.take_along_axis(table, cols[:, None], axis=1)[:, 0]
-    detected = ppt_mask & (values < -tol)
+    return ppt_mask, cols, values, ppt_mask & (values < -tol)
+
+
+def _classify_rows(ps: np.ndarray, rs: np.ndarray, tol: float):
+    """The one classification core behind classify and classify_batch.
+
+    Returns (codes, cols, values, certificates): verdict codes indexing
+    _VERDICTS, _detect_rows' cols and values, and the certificate of every
+    row certified separable, keyed by row.  certificate_mask sees only the
+    PPT rows, and only the rows it keeps reach the scalar builders.
+    """
+    ppt_mask, cols, values, detected = _detect_rows(ps, rs, tol)
     codes = np.where(ppt_mask, _UNDECIDED, _NPT)
     codes[detected] = _BOUND
     certs = {}

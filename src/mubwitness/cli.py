@@ -420,24 +420,26 @@ def suite_oracle(n: int = 20000, seed: int = 0, inject_bug: bool = False):
     return ok, f"n={n} verdict_agree={bool(verdict_match)} max|eig-ineq/2|={value_match:.3e}"
 
 
+def _envelope_gap(rs: np.ndarray, psis: np.ndarray) -> float:
+    """Largest |sampled-psi minimum - closed form| over the rows and the 36 ids.
+
+    a cos(psi) + b sin(psi) depends only on the pairing, so it is sampled
+    on the 6 (a, b) columns and broadcast to the 36 ids, as in the table.
+    """
+    x, a, b = witness.envelope_parts(rs)
+    cosv, sinv = np.cos(psis), np.sin(psis)
+    sampled = np.stack([(np.outer(av, cosv) + np.outer(bv, sinv)).min(axis=1)
+                        for av, bv in zip(a.T, b.T)], axis=1)
+    grid_min = (x[:, :, None] + sampled[:, None, :]).reshape(len(x), 36)
+    return float(np.max(np.abs(grid_min - witness.nonlinear_values_batch(rs))))
+
+
 def suite_envelope(n_states: int = 100, n_psi: int = 10000, seed: int = 1):
     """Sampled-psi minimum of the linear family against the closed form."""
     rng = np.random.default_rng(seed)
-    ps = sample_simplex(rng, n_states)
-    rs = ps @ pauli.SIGNS.T
-    psis = np.linspace(0.0, 2.0 * math.pi, n_psi, endpoint=False)
-    cosv, sinv = np.cos(psis), np.sin(psis)
-    closed = witness.nonlinear_values_batch(rs)
-    worst = 0.0
-    for col, id_ in enumerate(witness.all_family_ids()):
-        (j, k), (l, m) = id_.partition
-        a = rs[:, j - 1] + id_.inner_sign * rs[:, k - 1]
-        b = rs[:, l - 1] + id_.inner_sign * rs[:, m - 1]
-        base = 1.0 + id_.outer_sign * rs[:, id_.z_index - 1]
-        grid_min = base + (np.outer(a, cosv) + np.outer(b, sinv)).min(axis=1)
-        worst = max(worst, float(np.max(np.abs(grid_min - closed[:, col]))))
-    ok = worst <= 1e-6
-    return ok, f"states={n_states} ids=36 psi_grid={n_psi} max_gap={worst:.3e}"
+    rs = sample_simplex(rng, n_states) @ pauli.SIGNS.T
+    worst = _envelope_gap(rs, np.linspace(0.0, 2.0 * math.pi, n_psi, endpoint=False))
+    return worst <= 1e-6, f"states={n_states} ids=36 psi_grid={n_psi} max_gap={worst:.3e}"
 
 
 def suite_identities(n: int = 10000, seed: int = 2):
@@ -486,18 +488,10 @@ def suite_identities(n: int = 10000, seed: int = 2):
 
 
 def suite_witnesses(psi: float = math.pi / 3):
-    """Validation table of all 36 ids at one probe angle."""
-    rows = []
-    all_ok = True
-    for id_ in witness.all_family_ids():
-        spec = id_.with_psi(psi)
-        min_prod, _ = witness.min_over_products(spec)
-        neg = float(witness.witness_eigenvalues(spec)[0])
-        ok = min_prod >= -1e-6 and neg < -1e-8
-        all_ok &= ok
-        rows.append((id_.label, min_prod, neg, ok))
-    n_valid = sum(1 for r in rows if r[3])
-    return all_ok, f"psi={psi:.4f} validated {n_valid}/36 (min product >= -1e-6, negative eigenvalue)"
+    """witness.validate_ew on all 36 ids at one probe angle."""
+    n_valid = sum(witness.validate_ew(id_.with_psi(psi)) for id_ in witness.all_family_ids())
+    return n_valid == 36, (f"psi={psi:.4f} validated {n_valid}/36"
+                           " (min product >= -1e-6, negative eigenvalue)")
 
 
 def suite_region(grid: int = 8):

@@ -5,10 +5,17 @@ where Z_i carries r_i, the O's are the four triple-X/Y observables, and the
 inner sign applies to both parentheses.  Minimizing over psi collapses the
 family to the closed-form envelope 1 +- r_i - sqrt(a^2 + b^2); the witness
 is optimal because its product-state minimum is exactly zero.
+
+The pair sums a and b depend only on the inner sign and the partition, so
+the 36 envelope values are 6 signed sums 1 +- r_i minus 6 hypotenuses
+(envelope_parts).  Each sum is the one rounded addition the per-id form
+makes, so hypot and the final subtraction see the same operands and the
+table is bit-identical to evaluating each id on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,6 +31,11 @@ O_OBSERVABLES = {4: "XXX", 5: "XYY", 6: "YXY", 7: "YYX"}
 
 # The three splits of {4,5,6,7}; the cosine pair is the one containing 4.
 PARTITIONS = (((4, 5), (6, 7)), ((4, 6), (5, 7)), ((4, 7), (5, 6)))
+
+# The 36 ids cross 6 signed sums 1 +- r_z, (outer sign, z), with 6 pairings,
+# (inner sign, partition): id 6*u + v has signed sum u and pairing v.
+_SIGNED_SUMS = tuple(itertools.product((1, -1), (1, 2, 3)))
+_PAIRINGS = tuple(itertools.product((1, -1), PARTITIONS))
 
 
 def _check_partition(partition) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -89,13 +101,8 @@ class WitnessSpec:
 @lru_cache(maxsize=1)
 def all_family_ids() -> tuple[NonlinearFamilyId, ...]:
     """All 36 envelope-witness ids in a fixed scan order."""
-    ids = []
-    for outer in (1, -1):
-        for z in (1, 2, 3):
-            for inner in (1, -1):
-                for part in PARTITIONS:
-                    ids.append(NonlinearFamilyId(outer, z, inner, part))
-    return tuple(ids)
+    return tuple(NonlinearFamilyId(outer, z, inner, part)
+                 for outer, z in _SIGNED_SUMS for inner, part in _PAIRINGS)
 
 
 def witness_matrix(w: WitnessSpec) -> np.ndarray:
@@ -156,35 +163,29 @@ def nonlinear_value(id_: NonlinearFamilyId, r) -> float:
     return float(1.0 + id_.outer_sign * rv[id_.z_index - 1] - math.hypot(a, b))
 
 
-def _id_sign_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed selections of r for every id, in scan order.
+# r @ these (7, 6) selections gives +-r_z per signed sum and a, b per pairing.
+# Each column has at most two nonzero entries, both +-1, so r @ matrix
+# rounds once, exactly as the scalar r_j +- r_k does.
+_E = np.eye(7)
+_Z_SIGN = np.stack([outer * _E[z - 1] for outer, z in _SIGNED_SUMS], axis=1)
+_PAIR_A = np.stack([_E[j - 1] + inner * _E[k - 1] for inner, ((j, k), _) in _PAIRINGS], axis=1)
+_PAIR_B = np.stack([_E[l - 1] + inner * _E[m - 1] for inner, (_, (l, m)) in _PAIRINGS], axis=1)
 
-    Column c of each matrix gives id c's +-r_i, pair sum a and pair sum b.
-    Each column has at most two nonzero entries, both +-1, so r @ matrix
-    rounds once, exactly as the scalar r_j +- r_k does.
+
+def envelope_parts(rs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The envelope table's generators for rows of r: (x, a, b), each (n, 6).
+
+    x = 1 +- r_z per signed sum and the pair sums a, b per pairing, so id
+    6*u + v of all_family_ids() has the value x[:, u] - hypot(a[:, v], b[:, v]).
     """
-    z_sign, pair_a, pair_b = np.zeros((3, 7, 36))
-    for col, id_ in enumerate(all_family_ids()):
-        (j, k), (l, m) = id_.partition
-        z_sign[id_.z_index - 1, col] = id_.outer_sign
-        pair_a[[j - 1, k - 1], col] = 1.0, id_.inner_sign
-        pair_b[[l - 1, m - 1], col] = 1.0, id_.inner_sign
-    return z_sign, pair_a, pair_b
-
-
-_Z_SIGN, _PAIR_A, _PAIR_B = _id_sign_matrices()
+    rs = np.atleast_2d(np.asarray(rs, dtype=float))
+    return 1.0 + rs @ _Z_SIGN, rs @ _PAIR_A, rs @ _PAIR_B
 
 
 def nonlinear_values_batch(rs: np.ndarray) -> np.ndarray:
     """Envelope values for all 36 ids, shape (n, 36); columns follow all_family_ids()."""
-    rs = np.atleast_2d(np.asarray(rs, dtype=float))
-    a = rs @ _PAIR_A
-    b = rs @ _PAIR_B
-    np.hypot(a, b, out=a)
-    out = np.matmul(rs, _Z_SIGN, out=b)  # reuse b: two (n, 36) arrays at most
-    out += 1.0
-    out -= a
-    return out
+    x, a, b = envelope_parts(rs)
+    return (x[:, :, None] - np.hypot(a, b)[:, None, :]).reshape(len(x), 36)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from mubwitness.classify import (
     classify,
     classify_batch,
     detect_bound,
+    random_case2,
 )
 
 PROTOTYPE = np.array(
@@ -137,6 +138,25 @@ def test_detect_bound_rejects_npt():
     p[0] = 1.0
     with pytest.raises(ValueError):
         detect_bound(p)
+
+
+def test_detect_bound_builds_no_certificate(monkeypatch):
+    module = importlib.import_module("mubwitness.classify")
+    real = module.certify_separable
+    calls = []
+
+    def counting_certify(p, *args, **kwargs):
+        calls.append(1)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(module, "certify_separable", counting_certify)
+    rng = np.random.default_rng(34)
+    states = [np.full(8, 0.125), CAT1_STATE, CAT2_STATE] + [random_case2(rng) for _ in range(4)]
+    found = [detect_bound(p) for p in states]
+    assert calls == []
+    # classify still certifies through the full core, and agrees on detection.
+    assert found == [classify(p).detection for p in states]
+    assert len(calls) == 5 and found[0] is None and found[1] is not None
 
 
 # --- certificates ------------------------------------------------------------
@@ -459,6 +479,54 @@ def test_product_average_is_the_product_state_loop_bit_for_bit(seed, exact):
 
 
 # --- soundness and the category theorems --------------------------------------
+
+
+def _per_id_envelope_table(rs):
+    """The envelope table column by column: (7, 36) selections, 36 hypots, += 1, -= hypot."""
+    ids = [witness.NonlinearFamilyId(outer, z, inner, part)
+           for outer in (1, -1) for z in (1, 2, 3)
+           for inner in (1, -1) for part in witness.PARTITIONS]
+    assert tuple(ids) == witness.all_family_ids()
+    z_sign, pair_a, pair_b = np.zeros((3, 7, 36))
+    for col, id_ in enumerate(ids):
+        (j, k), (l, m) = id_.partition
+        z_sign[id_.z_index - 1, col] = id_.outer_sign
+        pair_a[[j - 1, k - 1], col] = 1.0, id_.inner_sign
+        pair_b[[l - 1, m - 1], col] = 1.0, id_.inner_sign
+    hyp = np.hypot(rs @ pair_a, rs @ pair_b)
+    out = rs @ z_sign
+    out += 1.0
+    out -= hyp
+    return out
+
+
+def _cat1_lattice(grid):
+    j, i = np.divmod(np.arange((grid + 1) ** 2), grid + 1)
+    coord = np.arange(grid + 1) / grid
+    valid = coord[i] + coord[j] <= 1.0 + 1e-12
+    return cat1_special_batch(coord[i][valid], coord[j][valid])
+
+
+def test_envelope_table_is_the_per_id_table_bit_for_bit():
+    module = importlib.import_module("mubwitness.classify")
+    rng = np.random.default_rng(35)
+    batches = {"flat": random_probs(rng, 4096), "grid7": _cat1_lattice(7),
+               "grid100": _cat1_lattice(100),
+               "special": np.vstack([CAT2_STATE, np.full(8, 0.125), np.eye(8)])}
+    for name, fn in SEPARABLE_CONSTRUCTORS.items():
+        batches[name] = np.array([fn(rng) for _ in range(100)])
+    for name, ps in batches.items():
+        rs = ps @ pauli.SIGNS.T
+        want = _per_id_envelope_table(rs)
+        got = witness.nonlinear_values_batch(rs)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        cols = module._classify_rows(ps, rs, 1e-9)[1]
+        assert np.array_equal(cols, np.argmin(want, axis=1)), name
+    for p in batches["special"]:  # the scalar entry points' batch of one
+        r = pauli.SIGNS @ p
+        assert np.array_equal(witness.nonlinear_values_batch(r).view(np.int64),
+                              _per_id_envelope_table(r[None, :]).view(np.int64))
 
 
 def test_separable_constructors_never_detected():

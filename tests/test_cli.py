@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mubwitness import cli, ppt, witness
+from mubwitness import cli, pauli, ppt, witness
 from mubwitness.classify import (
     VERDICT_BOUND,
     VERDICT_NPT,
@@ -388,6 +389,32 @@ def test_verify_region_suite_catches_wrong_polygon(monkeypatch):
     ok, detail = cli.suite_region(grid=4)
     assert not ok
     assert "mismatched=p1p2,p3p4,p5p6,p7p8" in detail
+
+
+def _per_id_envelope_gap(rs, psis):
+    """The envelope suite's gap, computed id by id from each id's signs."""
+    cosv, sinv = np.cos(psis), np.sin(psis)
+    closed = witness.nonlinear_values_batch(rs)
+    worst = 0.0
+    for col, id_ in enumerate(witness.all_family_ids()):
+        (j, k), (l, m) = id_.partition
+        a = rs[:, j - 1] + id_.inner_sign * rs[:, k - 1]
+        b = rs[:, l - 1] + id_.inner_sign * rs[:, m - 1]
+        base = 1.0 + id_.outer_sign * rs[:, id_.z_index - 1]
+        grid_min = base + (np.outer(a, cosv) + np.outer(b, sinv)).min(axis=1)
+        worst = max(worst, float(np.max(np.abs(grid_min - closed[:, col]))))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_envelope_suite_gap_matches_per_id_reference(seed):
+    rs = cli.sample_simplex(np.random.default_rng(seed), 100) @ pauli.SIGNS.T
+    psis = np.linspace(0.0, 2.0 * math.pi, 10000, endpoint=False)
+    want = _per_id_envelope_gap(rs, psis)
+    got = cli._envelope_gap(rs, psis)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    ok, detail = cli.suite_envelope(seed=seed)
+    assert ok and detail == f"states=100 ids=36 psi_grid=10000 max_gap={want:.3e}"
 
 
 def test_verify_all_passes():
