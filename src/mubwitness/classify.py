@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import GHZ_PROJECTORS, SIGNS, as_probs, densities_from_p_batch, r_from_p
+from .pauli import GHZ_PROJECTORS, SIGNS, as_probs, densities_from_p_batch, r_from_p, signed_sums
 from .ppt import PptReport, is_ppt, ppt_inequalities_batch
-from .witness import NonlinearFamilyId, all_family_ids, nonlinear_value, nonlinear_values_batch
+from .witness import NonlinearFamilyId, all_family_ids, nonlinear_values_batch
 
 VERDICT_NPT = "NPT"
 VERDICT_BOUND = "bound-detected"
@@ -90,12 +90,10 @@ def detect_bound(p, tol: float = 1e-9):
 
     Raises ValueError when called on a non-PPT state.
     """
-    arr = as_probs(p)
-    r = SIGNS @ arr
-    ppt_mask, cols, _, detected = _detect_rows(arr[None, :], r[None, :], tol)
+    ppt_mask, cols, values, detected = _detect_rows(as_probs(p)[None, :], tol)
     if not ppt_mask[0]:
         raise ValueError("state is not PPT")
-    return _single_detection(cols[0], r) if detected[0] else None
+    return (_IDS[cols[0]], float(values[0])) if detected[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +467,14 @@ def classify(p, tol: float = 1e-9) -> Verdict:
     """NPT / bound-detected / separable-certified / ppt-undecided.
 
     The eigenvalue oracle in is_ppt cross-checks the inequalities; the
-    verdict itself comes from the batch core on a batch of one.
+    verdict, witness and value come from the batch core on a batch of one,
+    so they equal classify_batch's row for the same state bit for bit.
     """
     arr = np.asarray(p, dtype=float)
     report = is_ppt(arr, tol)  # validates arr
-    r = SIGNS @ arr
-    codes, cols, _, certs = _classify_rows(arr[None, :], r[None, :], tol)
+    codes, cols, values, certs = _classify_rows(arr[None, :], tol)
     kind = _VERDICTS[codes[0]]
-    detection = _single_detection(cols[0], r) if kind == VERDICT_BOUND else None
+    detection = (_IDS[cols[0]], float(values[0])) if kind == VERDICT_BOUND else None
     return Verdict(kind, report, detection=detection, certificate=certs.get(0))
 
 
@@ -488,38 +486,26 @@ def classify_batch(ps: np.ndarray, tol: float = 1e-9):
     per-state `classify` additionally cross-checks the eigenvalue oracle.
     """
     ps = np.asarray(ps, dtype=float)
-    codes, cols, values, _ = _classify_rows(ps, ps @ SIGNS.T, tol)
+    codes, cols, values, _ = _classify_rows(ps, tol)
     detected = codes == _BOUND
     labels = np.where(detected, _LABELS[cols], "")
     return _VERDICTS[codes], labels, np.where(detected, values, np.nan)
 
 
-def _single_detection(col: int, r: np.ndarray) -> tuple[NonlinearFamilyId, float]:
-    """One state's best id, valued by the scalar closed form.
-
-    math.hypot and np.hypot differ in the last bit on a few states; the
-    scalar value keeps the digits that classify has always printed.
-    """
-    id_ = _IDS[col]
-    return id_, nonlinear_value(id_, r)
-
-
-def _detect_rows(ps: np.ndarray, rs: np.ndarray, tol: float):
+def _detect_rows(ps: np.ndarray, tol: float):
     """The classification core's detection step, all that detect_bound runs.
 
     Returns (ppt_mask, cols, values, detected): each row's most negative
-    envelope column and its value, and the PPT rows it detects.  The caller
-    passes the rows' correlations rs: BLAS sums one row and a batch in
-    different orders, so each entry point keeps its own rounding.
+    envelope column and its value, and the PPT rows it detects.
     """
     ppt_mask = ppt_inequalities_batch(ps).min(axis=1) >= -tol
-    table = nonlinear_values_batch(rs)
+    table = nonlinear_values_batch(signed_sums(ps, SIGNS))
     cols = np.argmin(table, axis=1)
     values = np.take_along_axis(table, cols[:, None], axis=1)[:, 0]
     return ppt_mask, cols, values, ppt_mask & (values < -tol)
 
 
-def _classify_rows(ps: np.ndarray, rs: np.ndarray, tol: float):
+def _classify_rows(ps: np.ndarray, tol: float):
     """The one classification core behind classify and classify_batch.
 
     Returns (codes, cols, values, certificates): verdict codes indexing
@@ -527,7 +513,7 @@ def _classify_rows(ps: np.ndarray, rs: np.ndarray, tol: float):
     row certified separable, keyed by row.  certificate_mask sees only the
     PPT rows, and only the rows it keeps reach the scalar builders.
     """
-    ppt_mask, cols, values, detected = _detect_rows(ps, rs, tol)
+    ppt_mask, cols, values, detected = _detect_rows(ps, tol)
     codes = np.where(ppt_mask, _UNDECIDED, _NPT)
     codes[detected] = _BOUND
     certs = {}

@@ -269,12 +269,7 @@ def _region_plane(plane, grid, samples, seed, tol):
     undecided) counts of `samples` seeded states, zero off the region.
     """
     i, j = _lattice(grid)
-    feasible = np.zeros((grid, grid), dtype=np.int64)
-    cells = ppt.project_region(plane, grid)
-    if cells:
-        ci, cj = np.array(list(cells)).T
-        feasible[cj, ci] = 1
-    feasible = feasible.ravel()
+    feasible = ppt.region_mask(plane, grid).ravel().astype(np.int64)
     columns = {"i": i, "j": j, "feasible": feasible,
                "status": np.where(feasible == 1, "feasible", "infeasible")}
     if samples:
@@ -437,7 +432,7 @@ def _envelope_gap(rs: np.ndarray, psis: np.ndarray) -> float:
 def suite_envelope(n_states: int = 100, n_psi: int = 10000, seed: int = 1):
     """Sampled-psi minimum of the linear family against the closed form."""
     rng = np.random.default_rng(seed)
-    rs = sample_simplex(rng, n_states) @ pauli.SIGNS.T
+    rs = pauli.signed_sums(sample_simplex(rng, n_states), pauli.SIGNS)
     worst = _envelope_gap(rs, np.linspace(0.0, 2.0 * math.pi, n_psi, endpoint=False))
     return worst <= 1e-6, f"states={n_states} ids=36 psi_grid={n_psi} max_gap={worst:.3e}"
 
@@ -446,7 +441,7 @@ def suite_identities(n: int = 10000, seed: int = 2):
     """Pair-sum identities, character-table orthogonality, state equivalence."""
     rng = np.random.default_rng(seed)
     ps = sample_simplex(rng, n)
-    rs = ps @ pauli.SIGNS.T
+    rs = pauli.signed_sums(ps, pauli.SIGNS)
     checks = []
     pair_forms = {
         (4, 5, 1): ps[:, 2] - ps[:, 3] + ps[:, 4] - ps[:, 5],

@@ -5,6 +5,11 @@ observables ZZI, ZIZ, IZZ, XXX, XYY, YXY, YYX.  A state of the family is
 described either by eight mixing probabilities p (over the GHZ basis) or
 by seven correlation coefficients r (expectations of the observables);
 the two coordinate systems are related by an exact +-1 linear map.
+
+In floating point, r and the 24 PPT inequalities are signed sums of the
+p_i, and every entry point evaluates them through `signed_sums`: one
+fixed order of roundings, so a state gets the same bits alone or inside
+any batch, whatever order a BLAS matrix product would choose.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ PAULI_LABELS = "IXYZ"
 # Operator carrying r_k (k = 1..7) in the diagonal expansion of rho.
 R_OPERATORS = ("ZZI", "ZIZ", "IZZ", "XXX", "XYY", "YXY", "YYX")
 
-# r = SIGNS @ p.  Row k holds the signs of p_1..p_8 in r_{k+1}.
+# r = SIGNS @ p, evaluated by signed_sums.  Row k holds the signs of
+# p_1..p_8 in r_{k+1}.
 SIGNS = np.array(
     [
         [+1, +1, +1, +1, -1, -1, -1, -1],
@@ -130,9 +136,26 @@ def as_rvec(r, tol: float = 1e-12) -> np.ndarray:
     return arr
 
 
+def signed_sums(ps, signs) -> np.ndarray:
+    """signs @ p for each row p of the (n, 8) batch ps, shape (n, len(signs)).
+
+    Each value is the left-to-right sum s_1 p_1 + s_2 p_2 + ... + s_8 p_8,
+    one column at a time over the whole batch.  The signs are +-1 or 0, so
+    each product is exact and each of the seven additions rounds once, in
+    the same order for a row alone as for a row inside a batch.
+    """
+    coef = np.asarray(signs, dtype=float).T[:, :, None]  # (8, m, 1)
+    cols = np.ascontiguousarray(np.asarray(ps, dtype=float).T)  # (8, n)
+    acc = coef[0] * cols[0]
+    tmp = np.empty_like(acc)
+    for s, col in zip(coef[1:], cols[1:]):
+        acc += np.multiply(s, col, out=tmp)
+    return acc.T
+
+
 def r_from_p(p) -> np.ndarray:
     """The seven signed sums taking mixing probabilities to correlations."""
-    return SIGNS @ as_probs(p)
+    return signed_sums(as_probs(p)[None, :], SIGNS)[0]
 
 
 def p_from_r(r, tol: float = 1e-12) -> np.ndarray:

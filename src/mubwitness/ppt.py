@@ -3,13 +3,14 @@
 Positivity of the three partial transposes is equivalent, on this family,
 to 24 linear inequalities in the mixing probabilities, grouped as six
 quadruples.  Both routes are implemented and cross-checked: the signed
-sums, and a similarity-rotation (Jacobi) eigenvalue solver applied to the
-partially transposed density matrix.  The solver is generic: each sweep
-visits every off-diagonal pair once, in round-robin rounds of disjoint
-pairs that are rotated together.  A GHZ-diagonal partial transpose is
-X-shaped, so only the round of pairs (i, 7 - i) ever rotates, each pair on
-its own 2x2 block, and the eigenvalues equal those of a cyclic
-pair-by-pair sweep bit for bit.
+sums (pauli.signed_sums, so a state's values have the same bits in the
+scalar report and in any batch), and a similarity-rotation (Jacobi)
+eigenvalue solver applied to the partially transposed density matrix.
+The solver is generic: each sweep visits every off-diagonal pair once, in
+round-robin rounds of disjoint pairs that are rotated together.  A
+GHZ-diagonal partial transpose is X-shaped, so only the round of pairs
+(i, 7 - i) ever rotates, each pair on its own 2x2 block, and the
+eigenvalues equal those of a cyclic pair-by-pair sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pauli import as_probs, densities_from_p_batch, density_from_p, is_hermitian
+from .pauli import as_probs, densities_from_p_batch, density_from_p, is_hermitian, signed_sums
 
 # Quadruples (0-based indices into p) in the fixed report order; the four
 # rows of each quadruple (a, b, c, d) are a+b+c-d, a+b-c+d, a-b+c+d, -a+b+c+d.
@@ -74,13 +75,12 @@ class PptReport:
 
 def ppt_inequalities(p) -> np.ndarray:
     """All 24 inequality left-hand sides, shape (6, 4)."""
-    arr = as_probs(p)
-    return (_INEQ_MATRIX @ arr).reshape(6, 4)
+    return ppt_inequalities_batch(as_probs(p)[None, :]).reshape(6, 4)
 
 
 def ppt_inequalities_batch(ps: np.ndarray) -> np.ndarray:
     """Inequality values for a batch of probability vectors, shape (n, 24)."""
-    return np.asarray(ps, dtype=float) @ _INEQ_MATRIX.T
+    return signed_sums(ps, _INEQ_MATRIX)
 
 
 def partial_transpose(rho: np.ndarray, qubit: int) -> np.ndarray:
@@ -221,7 +221,7 @@ def is_ppt(p, tol: float = 1e-9) -> PptReport:
     if tol <= 0:
         raise ValueError("tol must be positive")
     min_eigs = pt_min_eigenvalues(p)  # validates p, once for the whole report
-    quads = (_INEQ_MATRIX @ np.asarray(p, dtype=float)).reshape(6, 4)
+    quads = ppt_inequalities_batch(np.asarray(p, dtype=float)[None, :]).reshape(6, 4)
     analytic = quads[_QUBIT_GROUPS].reshape(3, 8).min(axis=1) / 2.0
     gaps = np.abs(np.subtract(min_eigs, analytic))
     if gaps.max() > tol:
@@ -540,16 +540,33 @@ def projection_polygon(plane: tuple[int, int]) -> list[tuple[Fraction, Fraction]
     return hull[k:] + hull[:k]
 
 
+def region_mask(plane: tuple[int, int], grid: int) -> np.ndarray:
+    """Feasible grid cells as a (grid, grid) boolean array indexed [j, i].
+
+    The projection is computed once as an exact polygon
+    (`projection_polygon`, about ten warm-started LPs), and every corner
+    (i/grid, j/grid) is tested against each edge inequality in the integer
+    form nx*i + ny*j <= h*grid, one int64 broadcast per edge.  The edge
+    coefficients are small integers, so the test is exact.
+    """
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
+    vertices = projection_polygon(plane)
+    k = np.arange(grid, dtype=np.int64)
+    mask = np.ones((grid, grid), dtype=bool)
+    for u, v in zip(vertices, vertices[1:] + vertices[:1]):
+        nx, ny, h = _edge_inequality(u, v)
+        mask &= nx * k + ny * k[:, None] <= h * grid
+    return mask
+
+
 def project_region(plane: tuple[int, int], grid: int, exhaustive: bool = False):
     """Feasible grid cells of the PPT region projected onto two coordinates.
 
     A cell (i, j), 0 <= i, j < grid, is feasible when its lower-left corner
-    (i/grid, j/grid) lies in the projection.  The default method computes
-    the projection once as an exact polygon (`projection_polygon`, about
-    ten warm-started LPs) and tests each corner against the integer form
-    nx*i + ny*j <= h*grid of every edge inequality, so the classification
-    is exact.  `exhaustive` instead solves one exact LP per cell, as an
-    independent oracle.
+    (i/grid, j/grid) lies in the projection.  The default method reads the
+    set off `region_mask`, so the classification is exact.  `exhaustive`
+    instead solves one exact LP per cell, as an independent oracle.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -557,13 +574,8 @@ def project_region(plane: tuple[int, int], grid: int, exhaustive: bool = False):
     if exhaustive:
         return {(i, j) for j in range(grid) for i in range(grid)
                 if _cell_feasible(plane, grid, i, j)}
-    vertices = projection_polygon(plane)
-    edges = []
-    for u, v in zip(vertices, vertices[1:] + vertices[:1]):
-        nx, ny, h = _edge_inequality(u, v)
-        edges.append((nx, ny, h * grid))
-    return {(i, j) for j in range(grid) for i in range(grid)
-            if all(nx * i + ny * j <= hg for nx, ny, hg in edges)}
+    j, i = np.nonzero(region_mask(plane, grid))
+    return set(zip(i.tolist(), j.tolist()))
 
 
 # ---------------------------------------------------------------------------

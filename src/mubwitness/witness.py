@@ -157,10 +157,14 @@ def optimal_psi(id_: NonlinearFamilyId, r) -> float:
 
 
 def nonlinear_value(id_: NonlinearFamilyId, r) -> float:
-    """Envelope value 1 +- r_i - sqrt(a^2 + b^2); the min over psi."""
+    """Envelope value 1 +- r_i - sqrt(a^2 + b^2); the min over psi.
+
+    np.hypot on the same parts as nonlinear_values_batch, so the value
+    equals the table's column for this id bit for bit.
+    """
     rv = as_rvec(r)
     a, b = _pair_sums(id_, rv)
-    return float(1.0 + id_.outer_sign * rv[id_.z_index - 1] - math.hypot(a, b))
+    return float(1.0 + id_.outer_sign * rv[id_.z_index - 1] - np.hypot(a, b))
 
 
 # r @ these (7, 6) selections gives +-r_z per signed sum and a, b per pairing.

@@ -276,6 +276,74 @@ def test_classify_batch_agrees_with_scalar():
             assert abs(v.detection[1] - values[i]) < 1e-12
 
 
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+def _assert_detection_equals_row(detection, label, value):
+    assert detection is not None
+    assert detection[0].label == label
+    assert _bits(detection[1]) == _bits(value)
+
+
+def test_classify_detect_bound_and_batch_name_one_witness_on_a_tie():
+    # Three envelope ids tie in exact arithmetic on CAT2_STATE; every entry
+    # point must break the tie the same way and report the same value bits.
+    v = classify(CAT2_STATE)
+    d = detect_bound(CAT2_STATE)
+    assert v.kind == VERDICT_BOUND
+    assert v.detection[0].label in {"W+1,+(4,5),(6,7)", "W+1,+(4,6),(5,7)",
+                                    "W+1,+(4,7),(5,6)"}
+    rng = np.random.default_rng(126)
+    for n in (1, 2, 126):
+        ps = np.vstack([CAT2_STATE, random_probs(rng, n - 1)])
+        verdicts, labels, values = classify_batch(ps)
+        assert verdicts[0] == VERDICT_BOUND
+        _assert_detection_equals_row(v.detection, labels[0], values[0])
+        _assert_detection_equals_row(d, labels[0], values[0])
+
+
+def _boundary_tols(p):
+    """Tolerances at which p's verdict turns, under two rounding orders.
+
+    Minus the smallest inequality value and minus the best envelope value,
+    each from the package's batch and from a BLAS matrix-vector product on
+    the one state: where the two roundings differ, one of them sits just
+    inside -tol and the other just outside.
+    """
+    blas_r = pauli.SIGNS @ p
+    values = [ppt.ppt_inequalities_batch(p[None, :]).min(),
+              (ppt.inequality_matrix() @ p).min(),
+              classify_batch(p[None, :])[2][0],
+              witness.nonlinear_values_batch(blas_r[None, :]).min()]
+    return [-float(v) for v in values if v < -1e-9]  # no tighter than the default
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_scalar_entry_points_equal_their_batch_row(seed):
+    rng = np.random.default_rng(seed)
+    ps = np.vstack([random_probs(rng, 12), CAT2_STATE, PROTOTYPE]
+                   + [fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values()])
+    tols = [1e-9] + _boundary_tols(ps[rng.integers(12)]) + _boundary_tols(ps[12])
+    for tol in tols:
+        verdicts, labels, values = classify_batch(ps, tol)
+        for i, p in enumerate(ps):
+            v = classify(p, tol)
+            assert v.kind == verdicts[i], (tol, p.tolist())
+            assert v.ppt.passed == (v.kind != VERDICT_NPT), (tol, p.tolist())
+            if v.kind == VERDICT_NPT:
+                with pytest.raises(ValueError):
+                    detect_bound(p, tol)
+                continue
+            d = detect_bound(p, tol)
+            if v.kind == VERDICT_BOUND:
+                _assert_detection_equals_row(v.detection, labels[i], values[i])
+                _assert_detection_equals_row(d, labels[i], values[i])
+            else:
+                assert v.detection is None and d is None
+
+
 # --- the certificate mask ----------------------------------------------------
 #
 # Each snap maps a simplex draw q onto one certificate builder's pattern
@@ -516,15 +584,15 @@ def test_envelope_table_is_the_per_id_table_bit_for_bit():
     for name, fn in SEPARABLE_CONSTRUCTORS.items():
         batches[name] = np.array([fn(rng) for _ in range(100)])
     for name, ps in batches.items():
-        rs = ps @ pauli.SIGNS.T
+        rs = pauli.signed_sums(ps, pauli.SIGNS)
         want = _per_id_envelope_table(rs)
         got = witness.nonlinear_values_batch(rs)
         assert got.shape == want.shape and got.dtype == want.dtype, name
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
-        cols = module._classify_rows(ps, rs, 1e-9)[1]
+        cols = module._classify_rows(ps, 1e-9)[1]
         assert np.array_equal(cols, np.argmin(want, axis=1)), name
     for p in batches["special"]:  # the scalar entry points' batch of one
-        r = pauli.SIGNS @ p
+        r = pauli.r_from_p(p)
         assert np.array_equal(witness.nonlinear_values_batch(r).view(np.int64),
                               _per_id_envelope_table(r[None, :]).view(np.int64))
 

@@ -60,6 +60,47 @@ def test_classify_r_input():
     assert json.loads(res.stdout)["verdict"] == "separable-certified"
 
 
+# --tol is minus this NPT state's smallest inequality value as a BLAS
+# matrix-vector product rounds it; summed left to right, the value rounds
+# slightly lower, below -tol.
+BOUNDARY_P = ("0.10749657005067323,0.09450663936429698,0.09700564932437437,"
+              "0.09603977967748333,0.006800958742439573,0.3547424117873048,"
+              "0.23262226359453772,0.010785727458889945")
+
+
+def test_classify_verdict_and_ppt_line_agree_at_the_rounding_boundary():
+    res = run_cli(["classify", "--tol", "0.1548960240430075", "--p", BOUNDARY_P])
+    assert res.returncode == 0
+    verdict, ppt_line = res.stdout.splitlines()[:2]
+    assert verdict.startswith("verdict: ") and ppt_line.startswith("ppt: ")
+    assert (verdict == "verdict: NPT") == ppt_line.startswith("ppt: fail")
+    res = run_cli(["classify", "--tol", "0.1548960240430075", "--p", BOUNDARY_P, "--json"])
+    record = json.loads(res.stdout)
+    assert record["ppt_pass"] == (record["verdict"] != VERDICT_NPT)
+    assert record["ppt_pass"] == (min(map(min, record["inequalities"])) >= -0.1548960240430075)
+
+
+def test_sample_csv_rows_equal_classify_output(tmp_path, capsys):
+    # The same state prints the same verdict, label and value digits from
+    # `mubw sample --out` and `mubw classify`.
+    out = tmp_path / "s.csv"
+    assert cli.main(["sample", "--n", "4096", "--seed", "3", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    picked = [row for row in rows if row["verdict"] == VERDICT_BOUND]
+    assert len(picked) >= 4
+    picked += rows[:20]
+    capsys.readouterr()
+    for row in picked:
+        state = ",".join(row[f"p{k}"] for k in range(1, 9))
+        assert cli.main(["classify", "--p", state, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["verdict"] == row["verdict"]
+        assert (record["witness"] or "") == row["witness"]
+        value = record["witness_value"]
+        assert ("" if value is None else cli._fmt(value)) == row["witness_value"]
+
+
 def test_classify_state_file(tmp_path):
     path = tmp_path / "state.txt"
     path.write_text(PROTO + "\n")

@@ -230,6 +230,49 @@ def test_inequalities_longhand_oracle():
     assert np.allclose(quads, expected, atol=1e-15)
 
 
+def _left_to_right(ps, signs):
+    """signs @ p per row as the Python-float sum s_1 p_1 + s_2 p_2 + ... + s_8 p_8."""
+    out = []
+    for p in ps.tolist():
+        row = []
+        for s in signs.tolist():
+            acc = s[0] * p[0]
+            for sk, pk in zip(s[1:], p[1:]):
+                acc += sk * pk
+            row.append(acc)
+        out.append(row)
+    return np.array(out).reshape(len(ps), len(signs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4096])
+def test_r_and_inequalities_are_the_left_to_right_sums(n):
+    rng = np.random.default_rng(n)
+    ps = random_probs(rng, n)
+    special = np.vstack([np.full(8, 0.125), np.eye(8), PROTOTYPE]
+                        + [fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values()])
+    ps[: len(special)] = special[:n]
+    want_r = _left_to_right(ps, pauli.SIGNS)
+    want_ineq = _left_to_right(ps, ppt.inequality_matrix())
+    assert np.array_equal(pauli.signed_sums(ps, pauli.SIGNS).view(np.int64),
+                          want_r.view(np.int64))
+    assert np.array_equal(ppt.ppt_inequalities_batch(ps).view(np.int64),
+                          want_ineq.view(np.int64))
+    for k in range(min(n, 40)):  # the scalar entry points round the same way
+        assert np.array_equal(pauli.r_from_p(ps[k]).view(np.int64), want_r[k].view(np.int64))
+        for quads in (ppt.ppt_inequalities(ps[k]), ppt.is_ppt(ps[k]).quadruples):
+            assert quads.shape == (6, 4)
+            assert np.array_equal(quads.ravel().view(np.int64), want_ineq[k].view(np.int64))
+
+
+def test_r_and_inequalities_exact_on_dyadic_inputs():
+    rng = np.random.default_rng(64)
+    ps = rng.multinomial(64, np.full(8, 0.125), size=300) / 64.0
+    a = ppt.inequality_matrix()
+    assert np.array_equal(ppt.ppt_inequalities_batch(ps), np.array([a @ p for p in ps]))
+    assert np.array_equal(pauli.signed_sums(ps, pauli.SIGNS),
+                          np.array([pauli.SIGNS @ p for p in ps]))
+
+
 def test_is_ppt_examples():
     assert ppt.is_ppt(np.ones(8) / 8).passed
     p = np.zeros(8)
@@ -412,6 +455,21 @@ def test_polygon_cells_equal_exhaustive_all_pairs(a, b):
         assert all(t > 0 for t in turns), (plane, v)  # CCW, no collinear points
 
 
+def test_region_mask_is_the_per_cell_edge_test():
+    # The int64 broadcast against the polygon's edges, one Python cell at a time.
+    grid = 97
+    for plane in CLI_PLANES:
+        vertices = ppt.projection_polygon(plane)
+        edges = [ppt._edge_inequality(u, v)
+                 for u, v in zip(vertices, vertices[1:] + vertices[:1])]
+        want = np.array([[all(nx * i + ny * j <= h * grid for nx, ny, h in edges)
+                          for i in range(grid)] for j in range(grid)])
+        mask = ppt.region_mask(plane, grid)
+        assert mask.dtype == bool and np.array_equal(mask, want), plane
+        j, i = np.nonzero(want)
+        assert ppt.project_region(plane, grid) == set(zip(i.tolist(), j.tolist()))
+
+
 def test_projection_polygon_exact_vertices():
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     quad = ppt.projection_polygon((0, 1))
@@ -469,6 +527,10 @@ def test_project_region_validation():
         ppt.project_region((0, 1), 1)
     with pytest.raises(ValueError):
         ppt.projection_polygon((3, 8))
+    with pytest.raises(ValueError):
+        ppt.region_mask((0, 1), 1)
+    with pytest.raises(ValueError):
+        ppt.region_mask((2, 2), 10)
 
 
 # --- special family ---------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mubwitness import pauli, ppt, witness
+from mubwitness.classify import SEPARABLE_CONSTRUCTORS
 
 
 def random_probs(rng, n):
@@ -148,13 +149,15 @@ def test_nonlinear_value_examples():
 
 
 def test_nonlinear_batch_matches_scalar():
+    # np.hypot on the same parts: each table column is its id's value, bit for bit.
     rng = np.random.default_rng(3)
-    ps = random_probs(rng, 30)
-    rs = ps @ pauli.SIGNS.T
+    ps = np.vstack([random_probs(rng, 30), np.full(8, 0.125), np.eye(8)]
+                   + [fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values() for _ in range(5)])
+    rs = pauli.signed_sums(ps, pauli.SIGNS)
     table = witness.nonlinear_values_batch(rs)
     for row, r in enumerate(rs):
-        for col, id_ in enumerate(witness.all_family_ids()):
-            assert abs(table[row, col] - witness.nonlinear_value(id_, r)) < 1e-14
+        got = [witness.nonlinear_value(id_, r) for id_ in witness.all_family_ids()]
+        assert np.array_equal(np.array(got).view(np.int64), table[row].view(np.int64))
 
 
 def test_envelope_equals_sampled_minimum():
