@@ -147,9 +147,8 @@ def signed_sums(ps, signs) -> np.ndarray:
     coef = np.asarray(signs, dtype=float).T[:, :, None]  # (8, m, 1)
     cols = np.ascontiguousarray(np.asarray(ps, dtype=float).T)  # (8, n)
     acc = coef[0] * cols[0]
-    tmp = np.empty_like(acc)
-    for s, col in zip(coef[1:], cols[1:]):
-        acc += np.multiply(s, col, out=tmp)
+    for k in range(1, 8):
+        acc += coef[k] * cols[k]
     return acc.T
 
 
