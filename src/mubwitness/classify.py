@@ -90,7 +90,8 @@ def detect_bound(p, tol: float = 1e-9):
 
     Raises ValueError when called on a non-PPT state.
     """
-    ppt_mask, cols, values, detected = _detect_rows(as_probs(p)[None, :], tol)
+    ps = as_probs(p)[None, :]
+    ppt_mask, cols, values, detected = _detect_rows(ps, ppt_inequalities_batch(ps), tol)
     if not ppt_mask[0]:
         raise ValueError("state is not PPT")
     return (_IDS[cols[0]], float(values[0])) if detected[0] else None
@@ -468,11 +469,13 @@ def classify(p, tol: float = 1e-9) -> Verdict:
 
     The eigenvalue oracle in is_ppt cross-checks the inequalities; the
     verdict, witness and value come from the batch core on a batch of one,
-    so they equal classify_batch's row for the same state bit for bit.
+    fed is_ppt's inequality values, so they equal classify_batch's row for
+    the same state bit for bit.
     """
     arr = np.asarray(p, dtype=float)
     report = is_ppt(arr, tol)  # validates arr
-    codes, cols, values, certs = _classify_rows(arr[None, :], tol)
+    codes, cols, values, certs = _classify_rows(arr[None, :], report.quadruples.reshape(1, 24),
+                                                tol)
     kind = _VERDICTS[codes[0]]
     detection = (_IDS[cols[0]], float(values[0])) if kind == VERDICT_BOUND else None
     return Verdict(kind, report, detection=detection, certificate=certs.get(0))
@@ -486,34 +489,37 @@ def classify_batch(ps: np.ndarray, tol: float = 1e-9):
     per-state `classify` additionally cross-checks the eigenvalue oracle.
     """
     ps = np.asarray(ps, dtype=float)
-    codes, cols, values, _ = _classify_rows(ps, tol)
+    codes, cols, values, _ = _classify_rows(ps, ppt_inequalities_batch(ps), tol)
     detected = codes == _BOUND
     labels = np.where(detected, _LABELS[cols], "")
     return _VERDICTS[codes], labels, np.where(detected, values, np.nan)
 
 
-def _detect_rows(ps: np.ndarray, tol: float):
+def _detect_rows(ps: np.ndarray, ineqs: np.ndarray, tol: float):
     """The classification core's detection step, all that detect_bound runs.
 
+    ineqs holds the rows' 24 inequality values, shape (n, 24), as
+    ppt_inequalities_batch gives them; the caller evaluates them once.
     Returns (ppt_mask, cols, values, detected): each row's most negative
     envelope column and its value, and the PPT rows it detects.
     """
-    ppt_mask = ppt_inequalities_batch(ps).min(axis=1) >= -tol
+    ppt_mask = ineqs.min(axis=1) >= -tol
     table = nonlinear_values_batch(signed_sums(ps, SIGNS))
     cols = np.argmin(table, axis=1)
     values = np.take_along_axis(table, cols[:, None], axis=1)[:, 0]
     return ppt_mask, cols, values, ppt_mask & (values < -tol)
 
 
-def _classify_rows(ps: np.ndarray, tol: float):
+def _classify_rows(ps: np.ndarray, ineqs: np.ndarray, tol: float):
     """The one classification core behind classify and classify_batch.
 
+    ineqs are the rows' (n, 24) inequality values, as for _detect_rows.
     Returns (codes, cols, values, certificates): verdict codes indexing
     _VERDICTS, _detect_rows' cols and values, and the certificate of every
     row certified separable, keyed by row.  certificate_mask sees only the
     PPT rows, and only the rows it keeps reach the scalar builders.
     """
-    ppt_mask, cols, values, detected = _detect_rows(ps, tol)
+    ppt_mask, cols, values, detected = _detect_rows(ps, ineqs, tol)
     codes = np.where(ppt_mask, _UNDECIDED, _NPT)
     codes[detected] = _BOUND
     certs = {}

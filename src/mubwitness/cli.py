@@ -56,13 +56,19 @@ def _csv_text(s: str) -> str:
     return s
 
 
+# The simplex tolerance of pauli.as_probs: a verdict tolerance below the
+# input check's own resolution would judge rounding noise.
+_MIN_TOL = 1e-12
+
+
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    if not (math.isfinite(value) and value >= _MIN_TOL):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of at least {_MIN_TOL:g}, got {text!r}")
     return value
 
 
@@ -490,7 +496,15 @@ def suite_witnesses(psi: float = math.pi / 3):
 
 
 def suite_region(grid: int = 8):
-    """Polygon region cells against the per-cell exact LP oracle, six CLI planes."""
+    """The shadow table against its LP derivation, and region cells against the cell oracle.
+
+    Every ordered plane's `ppt.projection_polygon` must equal
+    `ppt._lp_projection_polygon` vertex for vertex, and on the six CLI
+    planes the cells read off the table must equal the per-cell exact LPs.
+    """
+    ordered = [(a, b) for a in range(8) for b in range(8) if a != b]
+    table_mismatched = [f"p{a + 1}p{b + 1}" for a, b in ordered
+                        if ppt.projection_polygon((a, b)) != ppt._lp_projection_polygon((a, b))]
     mismatched = []
     cells = 0
     for name, plane in _PLANES.items():
@@ -498,8 +512,10 @@ def suite_region(grid: int = 8):
         cells += len(fast)
         if fast != ppt.project_region(plane, grid, exhaustive=True):
             mismatched.append(name)
-    return not mismatched, (f"planes={len(_PLANES)} grid={grid} feasible_cells={cells} "
-                            f"mismatched={','.join(mismatched) or 'none'}")
+    return not (mismatched or table_mismatched), (
+        f"planes={len(_PLANES)} grid={grid} feasible_cells={cells} "
+        f"mismatched={','.join(mismatched) or 'none'} table_planes={len(ordered)} "
+        f"table_mismatched={','.join(table_mismatched) or 'none'}")
 
 
 def suite_mub():

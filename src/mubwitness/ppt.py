@@ -11,6 +11,13 @@ round-robin rounds of disjoint pairs that are rotated together.  A
 GHZ-diagonal partial transpose is X-shaped, so only the round of pairs
 (i, 7 - i) ever rotates, each pair on its own 2x2 block, and the
 eigenvalues equal those of a cyclic pair-by-pair sweep bit for bit.
+
+The polytope's shadow on a coordinate plane (p_a, p_b) is one of two
+fixed rational polygons, read from a table by whether a and b index the
+same GHZ pair.  An exact integer simplex derives the same polygons by
+support-function hull refinement, and one exact LP per grid cell gives an
+independent oracle for the region cells; both are cross-checks, run by
+`mubw verify --suite region` and the tests, never by a region scan.
 """
 
 from __future__ import annotations
@@ -211,12 +218,17 @@ def pt_min_eigenvalues_batch(ps: np.ndarray) -> np.ndarray:
     return out
 
 
+_ORACLE_GAP_FLOOR = 1e-12
+
+
 def is_ppt(p, tol: float = 1e-9) -> PptReport:
     """Run the 24-inequality test and the eigenvalue oracle, cross-checked.
 
     Each qubit's min partial-transpose eigenvalue equals exactly half the
     minimum over that qubit's eight inequality values; a disagreement
-    beyond tol signals an implementation bug and raises.
+    beyond max(tol, 1e-12) signals an implementation bug and raises.  The
+    floor keeps a verdict tol finer than the two routes' rounding (a few
+    1e-17 on ordinary states) from reading as a disagreement.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -224,8 +236,9 @@ def is_ppt(p, tol: float = 1e-9) -> PptReport:
     quads = ppt_inequalities_batch(np.asarray(p, dtype=float)[None, :]).reshape(6, 4)
     analytic = quads[_QUBIT_GROUPS].reshape(3, 8).min(axis=1) / 2.0
     gaps = np.abs(np.subtract(min_eigs, analytic))
-    if gaps.max() > tol:
-        q = int(np.argmax(gaps > tol))
+    gap_tol = max(tol, _ORACLE_GAP_FLOOR)
+    if gaps.max() > gap_tol:
+        q = int(np.argmax(gaps > gap_tol))
         raise RuntimeError(
             f"PPT oracle disagreement on qubit {q + 1}: "
             f"eigenvalue {min_eigs[q]} vs inequalities {analytic[q]}"
@@ -493,8 +506,32 @@ def _edge_inequality(u, v) -> tuple[int, int, int]:
     return tuple(t // g for t in ints)
 
 
+# The PPT polytope's shadow on (p_a, p_b) as exact CCW vertices, from the
+# lowest (x, y) vertex.  It depends only on whether a and b index the same
+# GHZ pair (a // 2 == b // 2): a quadrilateral on those 8 ordered planes and
+# a triangle on the other 48.  `_lp_projection_polygon` derives both, and
+# `mubw verify --suite region` and the tests compare them on all 56 planes.
+_SHADOWS = {
+    True: ((Fraction(0), Fraction(0)), (Fraction(1, 4), Fraction(0)),
+           (Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(1, 4))),
+    False: ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)),
+            (Fraction(0), Fraction(1, 2))),
+}
+
+
 def projection_polygon(plane: tuple[int, int]) -> list[tuple[Fraction, Fraction]]:
     """Exact CCW vertices of the PPT polytope's shadow on (p_a, p_b).
+
+    A lookup of the two shapes in _SHADOWS by the pair rule
+    a // 2 == b // 2; no LP runs.  `_lp_projection_polygon` is the
+    derivation it is checked against.
+    """
+    a, b = _check_plane(plane)
+    return list(_SHADOWS[a // 2 == b // 2])
+
+
+def _lp_projection_polygon(plane: tuple[int, int]) -> list[tuple[Fraction, Fraction]]:
+    """The shadow on (p_a, p_b) derived by exact LPs: the cross-check of the table.
 
     Support-function hull refinement (Lassez & Lassez 1992): phase 1 runs
     once on {p >= 0, A p >= 0, sum p = 1}, and each support query
@@ -543,11 +580,11 @@ def projection_polygon(plane: tuple[int, int]) -> list[tuple[Fraction, Fraction]
 def region_mask(plane: tuple[int, int], grid: int) -> np.ndarray:
     """Feasible grid cells as a (grid, grid) boolean array indexed [j, i].
 
-    The projection is computed once as an exact polygon
-    (`projection_polygon`, about ten warm-started LPs), and every corner
-    (i/grid, j/grid) is tested against each edge inequality in the integer
-    form nx*i + ny*j <= h*grid, one int64 broadcast per edge.  The edge
-    coefficients are small integers, so the test is exact.
+    The projection is read as an exact polygon (`projection_polygon`, a
+    table lookup), and every corner (i/grid, j/grid) is tested against
+    each edge inequality in the integer form nx*i + ny*j <= h*grid, one
+    int64 broadcast per edge.  The edge coefficients are small integers,
+    so the test is exact.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")

@@ -530,6 +530,20 @@ def test_classify_runs_the_oracle_cross_check_on_every_verdict(monkeypatch):
     assert classify(states[1], tol=1e-5).kind == VERDICT_BOUND
 
 
+def test_a_tol_finer_than_rounding_is_no_oracle_disagreement():
+    # The two routes differ by a few 1e-17 on ordinary states: the gap bound
+    # stays at 1e-12 however small the verdict tol is.
+    rng = np.random.default_rng(0)
+    states = [np.array([0.10749657005067323, 0.09450663936429698, 0.09700564932437437,
+                        0.09603977967748333, 0.006800958742439573, 0.3547424117873048,
+                        0.23262226359453772, 0.010785727458889945])]
+    states += [fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values()]
+    for p in states:
+        report = ppt.is_ppt(p, tol=1e-17)
+        assert report.passed == (report.min_value >= -1e-17)
+    assert classify(states[0], tol=1e-17).kind == VERDICT_NPT
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, -0.0, math.pi / 2, math.pi]))
 def test_product_average_is_the_product_state_loop_bit_for_bit(seed, exact):
@@ -589,7 +603,7 @@ def test_envelope_table_is_the_per_id_table_bit_for_bit():
         got = witness.nonlinear_values_batch(rs)
         assert got.shape == want.shape and got.dtype == want.dtype, name
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
-        cols = module._classify_rows(ps, 1e-9)[1]
+        cols = module._classify_rows(ps, ppt.ppt_inequalities_batch(ps), 1e-9)[1]
         assert np.array_equal(cols, np.argmin(want, axis=1)), name
     for p in batches["special"]:  # the scalar entry points' batch of one
         r = pauli.r_from_p(p)

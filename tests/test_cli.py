@@ -182,7 +182,7 @@ def test_main_reuses_one_parser_across_commands(tmp_path, capsys):
     ["sample", "--n", "10", "--out"],
     ["region", "--plane", "cat1-triangle", "--grid", "4", "--out"],
 ])
-@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf", "1e-17"])
 def test_bad_tolerance_exit_2(tmp_path, command, tol):
     out = tmp_path / "out.csv"
     if command[-1] == "--out":
@@ -357,6 +357,7 @@ GOLDEN = Path(__file__).parent / "data" / "region"
     ("cat1-triangle-8", ["--plane", "cat1-triangle", "--grid", "8"]),
     ("p1p2-6", ["--plane", "p1p2", "--grid", "6"]),
     ("p1p2-6-samples", ["--plane", "p1p2", "--grid", "6", "--samples", "8", "--seed", "5"]),
+    ("p1p3-6", ["--plane", "p1p3", "--grid", "6"]),
 ])
 def test_region_outputs_match_golden_files(tmp_path, name, args):
     # Reference outputs of `mubw region`: any byte that changes changes the format.
@@ -430,6 +431,42 @@ def test_verify_region_suite_catches_wrong_polygon(monkeypatch):
     ok, detail = cli.suite_region(grid=4)
     assert not ok
     assert "mismatched=p1p2,p3p4,p5p6,p7p8" in detail
+
+
+def test_verify_region_suite_catches_wrong_table(monkeypatch):
+    ok, detail = cli.suite_region(grid=4)
+    assert ok and "table_planes=56 table_mismatched=none" in detail
+    quad, tri = ppt._SHADOWS[True], ppt._SHADOWS[False]
+    wrong = ((0, 0), (Fraction(1, 2), 0), (0, Fraction(2, 5)))  # a cross-pair edge off by 1/10
+    monkeypatch.setattr(ppt, "_SHADOWS", {True: quad, False: wrong})
+    ok, detail = cli.suite_region(grid=4)
+    assert not ok
+    names = detail.split("table_mismatched=")[1].split(",")
+    assert len(names) == 48 and "p1p3" in names and "p3p1" in names and "p1p2" not in names
+    assert "mismatched=p1p3,p2p4 " in detail  # the cells of those CLI planes move too
+    monkeypatch.setattr(ppt, "_SHADOWS", {True: tri, False: tri})
+    ok, detail = cli.suite_region(grid=4)
+    assert not ok and detail.endswith(
+        "table_mismatched=p1p2,p2p1,p3p4,p4p3,p5p6,p6p5,p7p8,p8p7")
+
+
+@pytest.mark.parametrize("plane", sorted(cli._PLANES))
+def test_region_scan_runs_no_lp(tmp_path, monkeypatch, plane):
+    constructions = []
+
+    class CountingSimplex(ppt._Simplex):
+        def __init__(self, *args, **kwargs):
+            constructions.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ppt, "_Simplex", CountingSimplex)
+    ppt.lp_feasible([([1], "==", 1)], 1)
+    assert constructions == [1]  # the wrapper sees the module's own LPs
+    constructions.clear()
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert cli.main(["region", "--plane", plane, "--grid", "16",
+                     "--out", str(out), "--svg", str(svg)]) == 0
+    assert constructions == []
 
 
 def _per_id_envelope_gap(rs, psis):

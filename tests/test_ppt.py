@@ -450,9 +450,36 @@ def test_polygon_cells_equal_exhaustive_all_pairs(a, b):
         assert ppt.project_region(plane, grid) == ppt.project_region(
             plane, grid, exhaustive=True), (plane, grid)
         v = ppt.projection_polygon(plane)
-        turns = [(q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-                 for p, q, r in zip(v, v[1:] + v[:1], v[2:] + v[:2])]
-        assert all(t > 0 for t in turns), (plane, v)  # CCW, no collinear points
+        assert _strict_ccw(v), (plane, v)
+
+
+def _strict_ccw(v) -> bool:
+    turns = [(q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+             for p, q, r in zip(v, v[1:] + v[:1], v[2:] + v[:2])]
+    return all(t > 0 for t in turns)  # CCW, no collinear points
+
+
+def test_shadow_table_equals_lp_hull_on_all_ordered_planes():
+    shapes = {}
+    for a in range(8):
+        for b in range(8):
+            if a == b:
+                continue
+            table = ppt.projection_polygon((a, b))
+            assert table == ppt._lp_projection_polygon((a, b)), (a, b)
+            assert all(type(c) is Fraction for vertex in table for c in vertex)
+            assert _strict_ccw(table) and table[0] == min(table), (a, b, table)
+            shapes.setdefault(len(table), []).append((a, b))
+    # Quadrilaterals exactly on the planes of one GHZ pair, triangles elsewhere.
+    assert sorted(shapes) == [3, 4]
+    assert all(a // 2 == b // 2 for a, b in shapes[4]) and len(shapes[4]) == 8
+    assert all(a // 2 != b // 2 for a, b in shapes[3]) and len(shapes[3]) == 48
+
+
+def test_projection_polygon_returns_a_copy_of_the_table():
+    v = ppt.projection_polygon((0, 1))
+    v.append((Fraction(1), Fraction(0)))
+    assert ppt.projection_polygon((0, 1)) == ppt._lp_projection_polygon((0, 1))
 
 
 def test_region_mask_is_the_per_cell_edge_test():
@@ -527,6 +554,10 @@ def test_project_region_validation():
         ppt.project_region((0, 1), 1)
     with pytest.raises(ValueError):
         ppt.projection_polygon((3, 8))
+    with pytest.raises(ValueError):
+        ppt.projection_polygon((5, 5))
+    with pytest.raises(ValueError):
+        ppt._lp_projection_polygon((-1, 2))
     with pytest.raises(ValueError):
         ppt.region_mask((0, 1), 1)
     with pytest.raises(ValueError):
