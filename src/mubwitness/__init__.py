@@ -42,7 +42,6 @@ from .witness import (
     optimality_obstruction,
     product_expectation,
     validate_ew,
-    validated_ids,
     witness_matrix,
 )
 from .classify import (

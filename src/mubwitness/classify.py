@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import GHZ_PROJECTORS, SIGNS, as_probs, densities_from_p_batch, r_from_p, signed_sums
+from .pauli import (GHZ_PROJECTORS, RESOLUTION, SIGNS, as_probs, check_tol,
+                    densities_from_p_batch, r_from_p, signed_sums)
 from .ppt import PptReport, is_ppt, ppt_inequalities_batch
 from .witness import NonlinearFamilyId, all_family_ids, nonlinear_values_batch
 
@@ -67,13 +68,13 @@ class CategoryHit:
         return f"1{sl}r{self.z_index} = r{self.pair[0]}{si}r{self.pair[1]}"
 
 
-def category_of(p, tol: float = 1e-9) -> list[CategoryHit]:
-    """All category equalities satisfied by the state within tol."""
+def category_of(p) -> list[CategoryHit]:
+    """All category equalities satisfied by the state within 1e-9."""
     r = r_from_p(p)
     hits = []
     for cat, s, i, (j, k), t in CATEGORY_RELATIONS:
         residual = (1.0 + s * r[i - 1]) - (r[j - 1] + t * r[k - 1])
-        if abs(residual) <= tol:
+        if abs(residual) <= 1e-9:
             hits.append(CategoryHit(cat, s, i, (j, k), t, float(residual)))
     hits.sort(key=lambda h: (h.category, h.z_index, -h.lhs_sign))
     return hits
@@ -91,7 +92,8 @@ def detect_bound(p, tol: float = 1e-9):
     Raises ValueError when called on a non-PPT state.
     """
     ps = as_probs(p)[None, :]
-    ppt_mask, cols, values, detected = _detect_rows(ps, ppt_inequalities_batch(ps), tol)
+    ppt_mask, cols, values, detected = _detect_rows(
+        ps, ppt_inequalities_batch(ps).min(axis=1), tol)
     if not ppt_mask[0]:
         raise ValueError("state is not PPT")
     return (_IDS[cols[0]], float(values[0])) if detected[0] else None
@@ -118,9 +120,6 @@ class SeparableCertificate:
     @property
     def weights(self) -> tuple[float, ...]:
         return tuple(t.weight for t in self.terms)
-
-
-_MATCH_TOL = 1e-12
 
 
 def _pair_mix(k: int) -> np.ndarray:
@@ -359,20 +358,21 @@ _CERTIFICATE_BUILDERS = (
 )
 
 
-def certify_separable(p, tol: float = 1e-9, match_tol: float = _MATCH_TOL):
+def certify_separable(p, tol: float = 1e-9):
     """First verifying separable certificate, or None.
 
     Constructions are tried in a fixed order (pair-zero, three-pairs-equal,
     then the category branches); each candidate must reconstruct the state
     entrywise to 1e-10 with nonnegative weights summing to one.  A matched
     pattern that fails reconstruction raises, since the constructions are
-    exact on their patterns.
+    exact on their patterns.  The patterns match within pauli.RESOLUTION.
     """
+    check_tol(tol)
     arr = as_probs(p)
     _require_ppt_cheap(arr, tol)
     rho = densities_from_p_batch(arr[None, :])[0]  # density_from_p without a second as_probs
     for builder in _CERTIFICATE_BUILDERS:
-        out = builder(arr, match_tol)
+        out = builder(arr, RESOLUTION)
         if out is None:
             continue
         name, terms = out
@@ -389,7 +389,7 @@ def certify_separable(p, tol: float = 1e-9, match_tol: float = _MATCH_TOL):
     return None
 
 
-def certificate_mask(ps: np.ndarray, match_tol: float = _MATCH_TOL) -> np.ndarray:
+def certificate_mask(ps: np.ndarray) -> np.ndarray:
     """Rows on which some certificate builder can match, as one boolean mask.
 
     Each clause restates, over the whole batch, the equalities and
@@ -399,7 +399,7 @@ def certificate_mask(ps: np.ndarray, match_tol: float = _MATCH_TOL) -> np.ndarra
     in the mask, and the builders decide the rest.
     """
     p = np.atleast_2d(np.asarray(ps, dtype=float))
-    mt = 2.0 * match_tol
+    mt = 2.0 * RESOLUTION
     rows = np.arange(p.shape[0])
 
     def cross_weights_ok(x):  # the basis-state weights of the cat1/cat2 branches
@@ -469,13 +469,12 @@ def classify(p, tol: float = 1e-9) -> Verdict:
 
     The eigenvalue oracle in is_ppt cross-checks the inequalities; the
     verdict, witness and value come from the batch core on a batch of one,
-    fed is_ppt's inequality values, so they equal classify_batch's row for
-    the same state bit for bit.
+    fed is_ppt's smallest inequality value, so they equal classify_batch's
+    row for the same state bit for bit.
     """
     arr = np.asarray(p, dtype=float)
     report = is_ppt(arr, tol)  # validates arr
-    codes, cols, values, certs = _classify_rows(arr[None, :], report.quadruples.reshape(1, 24),
-                                                tol)
+    codes, cols, values, certs = _classify_rows(arr[None, :], np.array([report.min_value]), tol)
     kind = _VERDICTS[codes[0]]
     detection = (_IDS[cols[0]], float(values[0])) if kind == VERDICT_BOUND else None
     return Verdict(kind, report, detection=detection, certificate=certs.get(0))
@@ -489,37 +488,38 @@ def classify_batch(ps: np.ndarray, tol: float = 1e-9):
     per-state `classify` additionally cross-checks the eigenvalue oracle.
     """
     ps = np.asarray(ps, dtype=float)
-    codes, cols, values, _ = _classify_rows(ps, ppt_inequalities_batch(ps), tol)
+    codes, cols, values, _ = _classify_rows(ps, ppt_inequalities_batch(ps).min(axis=1), tol)
     detected = codes == _BOUND
     labels = np.where(detected, _LABELS[cols], "")
     return _VERDICTS[codes], labels, np.where(detected, values, np.nan)
 
 
-def _detect_rows(ps: np.ndarray, ineqs: np.ndarray, tol: float):
+def _detect_rows(ps: np.ndarray, ineq_min: np.ndarray, tol: float):
     """The classification core's detection step, all that detect_bound runs.
 
-    ineqs holds the rows' 24 inequality values, shape (n, 24), as
-    ppt_inequalities_batch gives them; the caller evaluates them once.
+    ineq_min holds each row's smallest of the 24 inequality values, shape
+    (n,); the caller evaluates them once and keeps only this minimum.
     Returns (ppt_mask, cols, values, detected): each row's most negative
     envelope column and its value, and the PPT rows it detects.
     """
-    ppt_mask = ineqs.min(axis=1) >= -tol
+    check_tol(tol)
+    ppt_mask = ineq_min >= -tol
     table = nonlinear_values_batch(signed_sums(ps, SIGNS))
     cols = np.argmin(table, axis=1)
     values = np.take_along_axis(table, cols[:, None], axis=1)[:, 0]
     return ppt_mask, cols, values, ppt_mask & (values < -tol)
 
 
-def _classify_rows(ps: np.ndarray, ineqs: np.ndarray, tol: float):
+def _classify_rows(ps: np.ndarray, ineq_min: np.ndarray, tol: float):
     """The one classification core behind classify and classify_batch.
 
-    ineqs are the rows' (n, 24) inequality values, as for _detect_rows.
+    ineq_min is each row's smallest inequality value, as for _detect_rows.
     Returns (codes, cols, values, certificates): verdict codes indexing
     _VERDICTS, _detect_rows' cols and values, and the certificate of every
     row certified separable, keyed by row.  certificate_mask sees only the
     PPT rows, and only the rows it keeps reach the scalar builders.
     """
-    ppt_mask, cols, values, detected = _detect_rows(ps, ineqs, tol)
+    ppt_mask, cols, values, detected = _detect_rows(ps, ineq_min, tol)
     codes = np.where(ppt_mask, _UNDECIDED, _NPT)
     codes[detected] = _BOUND
     certs = {}
@@ -551,12 +551,12 @@ def cat1_special_batch(p1, p2) -> np.ndarray:
     """cat1_special over arrays of (p1, p2): one (n, 8) array, checked in one pass.
 
     The guard is the simplex check: once it holds, the clipped rows lie in
-    [0, 1] and sum to 1 within 1e-12.
+    [0, 1] and sum to 1 within pauli.RESOLUTION.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     if not (np.isfinite(p1).all() and np.isfinite(p2).all()) \
-            or np.any(p1 < 0) or np.any(p2 < 0) or np.any(p1 + p2 - 1.0 > 1e-12):
+            or np.any(p1 < 0) or np.any(p2 < 0) or np.any(p1 + p2 - 1.0 > RESOLUTION):
         raise ValueError("parameters outside the simplex")
     p = (1.0 - p1 - p2) / 3.0
     zero = np.zeros_like(p)

@@ -56,19 +56,13 @@ def _csv_text(s: str) -> str:
     return s
 
 
-# The simplex tolerance of pauli.as_probs: a verdict tolerance below the
-# input check's own resolution would judge rounding noise.
-_MIN_TOL = 1e-12
-
-
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
+        pauli.check_tol(value)
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= _MIN_TOL):
         raise argparse.ArgumentTypeError(
-            f"must be a finite number of at least {_MIN_TOL:g}, got {text!r}")
+            f"must be a finite number of at least {pauli.RESOLUTION:g}, got {text!r}") from None
     return value
 
 
@@ -313,7 +307,7 @@ def region_cat1_triangle(grid: int, tol: float = 1e-9):
     i, j = _lattice(grid + 1)
     coord = np.arange(grid + 1) / grid
     p1, p2 = coord[i], coord[j]
-    valid = p1 + p2 <= 1.0 + 1e-12
+    valid = p1 + p2 <= 1.0 + pauli.RESOLUTION
     status = np.full(i.shape, "invalid", dtype=object)
     labels = np.full(i.shape, "", dtype=object)
     values = np.full(i.shape, np.nan)
@@ -358,9 +352,6 @@ def write_region_svg(path: str, columns, grid: int) -> None:
 
 
 def cmd_region(args) -> int:
-    if args.plane != "cat1-triangle" and args.plane not in _PLANES:
-        print(f"error: unknown plane {args.plane!r}", file=sys.stderr)
-        return 2
     if args.grid < 2:
         print("error: --grid must be at least 2", file=sys.stderr)
         return 2
@@ -435,16 +426,18 @@ def _envelope_gap(rs: np.ndarray, psis: np.ndarray) -> float:
     return float(np.max(np.abs(grid_min - witness.nonlinear_values_batch(rs))))
 
 
-def suite_envelope(n_states: int = 100, n_psi: int = 10000, seed: int = 1):
+def suite_envelope(seed: int = 1):
     """Sampled-psi minimum of the linear family against the closed form."""
+    n_states, n_psi = 100, 10000
     rng = np.random.default_rng(seed)
     rs = pauli.signed_sums(sample_simplex(rng, n_states), pauli.SIGNS)
     worst = _envelope_gap(rs, np.linspace(0.0, 2.0 * math.pi, n_psi, endpoint=False))
     return worst <= 1e-6, f"states={n_states} ids=36 psi_grid={n_psi} max_gap={worst:.3e}"
 
 
-def suite_identities(n: int = 10000, seed: int = 2):
+def suite_identities(seed: int = 2):
     """Pair-sum identities, character-table orthogonality, state equivalence."""
+    n = 10000
     rng = np.random.default_rng(seed)
     ps = sample_simplex(rng, n)
     rs = pauli.signed_sums(ps, pauli.SIGNS)
@@ -479,7 +472,7 @@ def suite_identities(n: int = 10000, seed: int = 2):
     worst = float(max(checks))
     hh = pauli.H_MATRIX @ pauli.H_MATRIX.T
     ortho = bool(np.array_equal(hh, 8 * np.eye(8, dtype=np.int64)))
-    sub = ps[: min(n, 2000)]
+    sub = ps[:2000]
     d1 = pauli.densities_from_p_batch(sub)
     d2 = np.stack([pauli.density_from_r(pauli.r_from_p(p)) for p in sub])
     equiv = float(np.max(np.abs(d1 - d2)))
@@ -488,8 +481,9 @@ def suite_identities(n: int = 10000, seed: int = 2):
                 f"construction_gap={equiv:.3e}")
 
 
-def suite_witnesses(psi: float = math.pi / 3):
+def suite_witnesses():
     """witness.validate_ew on all 36 ids at one probe angle."""
+    psi = math.pi / 3
     n_valid = sum(witness.validate_ew(id_.with_psi(psi)) for id_ in witness.all_family_ids())
     return n_valid == 36, (f"psi={psi:.4f} validated {n_valid}/36"
                            " (min product >= -1e-6, negative eigenvalue)")

@@ -61,11 +61,12 @@ def mub_table() -> tuple[MubRow, ...]:
     return tuple(MubRow(label, obs) for label, obs in MUB_TABLE_ROWS)
 
 
-def commuting_row(row: MubRow, tol: float = 1e-12) -> bool:
+def commuting_row(row: MubRow) -> bool:
+    """True iff the row's observables commute pairwise, entrywise within 1e-12."""
     mats = row.matrices()
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) > tol:
+            if np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) > 1e-12:
                 return False
     return True
 
@@ -104,10 +105,10 @@ def common_eigenbasis(row: MubRow) -> np.ndarray:
     return np.array(out)
 
 
-def unbiasedness(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff every overlap between the two orthonormal bases is 1/sqrt(8)."""
+def unbiasedness(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff every overlap between the two orthonormal bases is 1/sqrt(8) within 1e-10."""
     overlaps = np.abs(np.asarray(a).conj() @ np.asarray(b).T)
-    return bool(np.max(np.abs(overlaps - 1.0 / np.sqrt(8.0))) <= tol)
+    return bool(np.max(np.abs(overlaps - 1.0 / np.sqrt(8.0))) <= 1e-10)
 
 
 _PERM_ALIASES = {

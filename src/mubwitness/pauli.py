@@ -109,27 +109,40 @@ GHZ_PROJECTORS = ghz_projectors()
 GHZ_PROJECTORS.setflags(write=False)
 
 
-def as_probs(p, tol: float = 1e-12) -> np.ndarray:
+# The resolution of every input: how far a probability or correlation may
+# stray outside its range, or a sum from 1, through rounding alone.  The
+# simplex checks, the certificate patterns and the boundary-family guards
+# read it, and a verdict tolerance finer than it would judge rounding noise.
+RESOLUTION = 1e-12
+
+
+def check_tol(tol) -> None:
+    """Reject a verdict tolerance that is not finite or is finer than RESOLUTION."""
+    if not (math.isfinite(tol) and tol >= RESOLUTION):
+        raise ValueError(f"tol must be a finite number of at least {RESOLUTION:g}, got {tol!r}")
+
+
+def as_probs(p) -> np.ndarray:
     """Validate and return a probability vector over the GHZ basis."""
     arr = np.asarray(p, dtype=float)
     if arr.shape != (8,):
         raise ValueError(f"expected 8 probabilities, got shape {arr.shape}")
-    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
+    if np.any(arr < -RESOLUTION) or np.any(arr > 1.0 + RESOLUTION):
         raise ValueError(f"probabilities outside [0, 1]: {arr}")
     total = arr.sum()
     if not math.isfinite(total):  # a NaN passes both range tests
         raise ValueError("probabilities must be finite numbers")
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > RESOLUTION:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return arr
 
 
-def as_rvec(r, tol: float = 1e-12) -> np.ndarray:
+def as_rvec(r) -> np.ndarray:
     """Validate and return a correlation vector r_1..r_7."""
     arr = np.asarray(r, dtype=float)
     if arr.shape != (7,):
         raise ValueError(f"expected 7 correlation coefficients, got shape {arr.shape}")
-    if np.any(np.abs(arr) > 1.0 + tol):
+    if np.any(np.abs(arr) > 1.0 + RESOLUTION):
         raise ValueError(f"correlation coefficients outside [-1, 1]: {arr}")
     if not math.isfinite(arr.sum()):  # a NaN passes the range test
         raise ValueError("correlation coefficients must be finite numbers")
@@ -157,7 +170,7 @@ def r_from_p(p) -> np.ndarray:
     return signed_sums(as_probs(p)[None, :], SIGNS)[0]
 
 
-def p_from_r(r, tol: float = 1e-12) -> np.ndarray:
+def p_from_r(r) -> np.ndarray:
     """Invert r back to probabilities via p = H^T (1, r) / 8.
 
     Rejects r outside the image of the probability simplex (some p_i < 0).
@@ -165,7 +178,7 @@ def p_from_r(r, tol: float = 1e-12) -> np.ndarray:
     arr = as_rvec(r)
     v = np.concatenate(([1.0], arr))
     p = (H_MATRIX.T @ v) / 8.0
-    if np.any(p < -tol):
+    if np.any(p < -RESOLUTION):
         raise ValueError(f"r vector leaves the simplex: min p = {p.min()}")
     return np.clip(p, 0.0, 1.0)
 
@@ -191,5 +204,6 @@ def densities_from_p_batch(ps: np.ndarray) -> np.ndarray:
     return np.tensordot(ps, GHZ_PROJECTORS, axes=(1, 0))
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    """True iff m equals its conjugate transpose within 1e-10, entrywise."""
+    return bool(np.max(np.abs(m - m.conj().T)) <= 1e-10)

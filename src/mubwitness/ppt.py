@@ -30,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pauli import as_probs, densities_from_p_batch, density_from_p, is_hermitian, signed_sums
+from .pauli import (RESOLUTION, as_probs, check_tol, densities_from_p_batch, is_hermitian,
+                    signed_sums)
 
 # Quadruples (0-based indices into p) in the fixed report order; the four
 # rows of each quadruple (a, b, c, d) are a+b+c-d, a+b-c+d, a-b+c+d, -a+b+c+d.
@@ -91,13 +92,19 @@ def ppt_inequalities_batch(ps: np.ndarray) -> np.ndarray:
 
 
 def partial_transpose(rho: np.ndarray, qubit: int) -> np.ndarray:
-    """Transpose the chosen qubit's indices (qubit in {1, 2, 3})."""
+    """Transpose the chosen qubit's indices (qubit in {1, 2, 3}) of each 8x8 matrix.
+
+    rho has shape (..., 8, 8); the result has the same shape.
+    """
     if qubit not in (1, 2, 3):
         raise ValueError(f"qubit must be 1, 2 or 3, got {qubit}")
-    t = np.asarray(rho).reshape(2, 2, 2, 2, 2, 2)
-    axes = list(range(6))
-    axes[qubit - 1], axes[qubit + 2] = axes[qubit + 2], axes[qubit - 1]
-    return t.transpose(axes).reshape(8, 8)
+    rho = np.asarray(rho)
+    lead = rho.shape[:-2]
+    t = rho.reshape(lead + (2,) * 6)
+    axes = list(range(t.ndim))
+    k = len(lead) + qubit - 1
+    axes[k], axes[k + 3] = axes[k + 3], axes[k]
+    return t.transpose(axes).reshape(rho.shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,14 +134,14 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
-def _jacobi_batch(mats: np.ndarray, sweeps: int = 14, tol: float = 1e-14) -> np.ndarray:
+def _jacobi_batch(mats: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of Hermitian matrices by round-robin Jacobi rotations.
 
     Each sweep annihilates every off-diagonal pair once, in the rounds of
     _round_robin: the pairs of a round are disjoint, so their rotations are
     applied together, each with the same per-element formula, and a round
     whose pairs are all zero is skipped.  Convergence is quadratic and 8x8
-    inputs settle well before the sweep cap.  Returns the sorted
+    inputs settle well before the cap of 14 sweeps.  Returns the sorted
     eigenvalues, shape (n, d).
 
     A GHZ-diagonal partial transpose is X-shaped: its only off-diagonal
@@ -143,6 +150,7 @@ def _jacobi_batch(mats: np.ndarray, sweeps: int = 14, tol: float = 1e-14) -> np.
     operations as a cyclic pair-by-pair sweep, and every other entry stays
     0, so the eigenvalues are bit for bit those of the cyclic order.
     """
+    sweeps, tol = 14, 1e-14
     a = np.array(mats, dtype=complex)
     if a.ndim == 2:
         a = a[None, :, :]
@@ -186,7 +194,7 @@ def _jacobi_batch(mats: np.ndarray, sweeps: int = 14, tol: float = 1e-14) -> np.
 
 def jacobi_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of one Hermitian matrix via the Jacobi iteration."""
-    if not is_hermitian(np.asarray(h), tol=1e-10):
+    if not is_hermitian(np.asarray(h)):
         raise ValueError("matrix is not Hermitian within 1e-10")
     return _jacobi_batch(np.asarray(h, dtype=complex))[0]
 
@@ -198,27 +206,14 @@ def min_eigenvalue(h: np.ndarray) -> float:
 
 def pt_min_eigenvalues(p) -> tuple[float, float, float]:
     """Minimal eigenvalue of rho^{T_q} for each qubit q."""
-    rho = density_from_p(p)
-    stack = np.stack([partial_transpose(rho, q) for q in (1, 2, 3)])
-    eigs = _jacobi_batch(stack)
-    return tuple(float(e[0]) for e in eigs)
+    return tuple(pt_min_eigenvalues_batch(as_probs(p)[None, :])[0].tolist())
 
 
 def pt_min_eigenvalues_batch(ps: np.ndarray) -> np.ndarray:
-    """Batch oracle: min eigenvalue per qubit, shape (n, 3)."""
+    """Batch oracle: min eigenvalue per qubit, shape (n, 3), from one Jacobi call."""
     rhos = densities_from_p_batch(ps)
-    n = rhos.shape[0]
-    out = np.empty((n, 3))
-    for k, qubit in enumerate((1, 2, 3)):
-        t = rhos.reshape(n, 2, 2, 2, 2, 2, 2)
-        axes = [0] + [i + 1 for i in range(6)]
-        axes[qubit], axes[qubit + 3] = axes[qubit + 3], axes[qubit]
-        pts = t.transpose(axes).reshape(n, 8, 8)
-        out[:, k] = _jacobi_batch(pts)[:, 0]
-    return out
-
-
-_ORACLE_GAP_FLOOR = 1e-12
+    pts = np.stack([partial_transpose(rhos, q) for q in (1, 2, 3)], axis=1)  # (n, 3, 8, 8)
+    return _jacobi_batch(pts.reshape(-1, 8, 8))[:, 0].reshape(-1, 3)
 
 
 def is_ppt(p, tol: float = 1e-9) -> PptReport:
@@ -226,19 +221,18 @@ def is_ppt(p, tol: float = 1e-9) -> PptReport:
 
     Each qubit's min partial-transpose eigenvalue equals exactly half the
     minimum over that qubit's eight inequality values; a disagreement
-    beyond max(tol, 1e-12) signals an implementation bug and raises.  The
-    floor keeps a verdict tol finer than the two routes' rounding (a few
-    1e-17 on ordinary states) from reading as a disagreement.
+    beyond tol signals an implementation bug and raises.  pauli.check_tol
+    keeps tol at or above the input resolution, 1e-12, so the two routes'
+    rounding (a few 1e-17 on ordinary states) never reads as a
+    disagreement.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     min_eigs = pt_min_eigenvalues(p)  # validates p, once for the whole report
     quads = ppt_inequalities_batch(np.asarray(p, dtype=float)[None, :]).reshape(6, 4)
     analytic = quads[_QUBIT_GROUPS].reshape(3, 8).min(axis=1) / 2.0
     gaps = np.abs(np.subtract(min_eigs, analytic))
-    gap_tol = max(tol, _ORACLE_GAP_FLOOR)
-    if gaps.max() > gap_tol:
-        q = int(np.argmax(gaps > gap_tol))
+    if gaps.max() > tol:
+        q = int(np.argmax(gaps > tol))
         raise RuntimeError(
             f"PPT oracle disagreement on qubit {q + 1}: "
             f"eigenvalue {min_eigs[q]} vs inequalities {analytic[q]}"
@@ -629,7 +623,8 @@ class SpecialFamilyParams:
     split5: float
     split7: float
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
+        tol = RESOLUTION
         if not -1.0 - tol <= self.alpha <= 0.5 + tol:
             raise ValueError(f"alpha {self.alpha} outside [-1, 1/2]")
         cap = 1.0 / (4.0 * (1.0 - self.alpha))

@@ -281,20 +281,16 @@ def _canonical_angles(angles: list[float]) -> tuple[float, ...]:
     return tuple(out)
 
 
-def min_over_products(
-    w,
-    n_starts: int = 48,
-    tol: float = 1e-8,
-    budget: int = 100_000,
-    grid_points: int = 24,
-) -> tuple[float, ProductState]:
+def min_over_products(w) -> tuple[float, ProductState]:
     """Global minimum of <nu|W|nu> over product states.
 
-    Multistart coordinate descent: starts are drawn from a coarse per-angle
-    grid (grid_points per angle, deterministic low-discrepancy selection);
-    each coordinate update minimizes the exact single-harmonic restriction
-    A + B cos(x) + C sin(x) obtained from a two-qubit contraction of W.
+    Multistart coordinate descent: 48 starts are drawn from a coarse
+    per-angle grid (24 points per angle, deterministic low-discrepancy
+    selection); each coordinate update minimizes the exact single-harmonic
+    restriction A + B cos(x) + C sin(x) obtained from a two-qubit
+    contraction of W.
     """
+    n_starts, grid_points, tol, budget = 48, 24, 1e-8, 100_000
     m = _as_matrix(w)
     m6 = m.reshape((2,) * 6)
     best_val = math.inf
@@ -364,23 +360,9 @@ def optimality_obstruction(psi: float) -> int:
     return int(np.sum(sing_sq > cutoff))
 
 
-def validate_ew(w: WitnessSpec, product_tol: float = 1e-6, eig_tol: float = 1e-8) -> bool:
-    """True iff W is nonnegative on products and has a negative eigenvalue."""
+def validate_ew(w: WitnessSpec) -> bool:
+    """True iff W is nonnegative on products (to -1e-6) and has an eigenvalue below -1e-8."""
     min_val, _ = min_over_products(w)
-    if min_val < -product_tol:
+    if min_val < -1e-6:
         return False
-    return bool(witness_eigenvalues(w)[0] < -eig_tol)
-
-
-@lru_cache(maxsize=4)
-def validated_ids(psis: tuple[float, ...] = (math.pi / 6, math.pi / 4, math.pi / 3)):
-    """The family ids passing validate_ew at every probe angle.
-
-    Ids failing product-state nonnegativity would be excluded from the
-    detection scan; in practice all 36 validate.
-    """
-    good = []
-    for id_ in all_family_ids():
-        if all(validate_ew(id_.with_psi(psi)) for psi in psis):
-            good.append(id_)
-    return tuple(good)
+    return bool(witness_eigenvalues(w)[0] < -1e-8)

@@ -199,12 +199,11 @@ def test_criterion_7_detection_fraction():
            f"literature's ~2.7% under an unstated measure; {elapsed:.0f}s")
 
 
-def test_criterion_8_separable_soundness():
+def test_criterion_8_separable_soundness(validated_ids):
     n_each = 10_000
     rng = np.random.default_rng(8)
     worst_wit = math.inf
     worst_rec = 0.0
-    valid = witness.validated_ids()
     for name, constructor in SEPARABLE_CONSTRUCTORS.items():
         ps = np.array([constructor(rng) for _ in range(n_each)])
         rs = ps @ pauli.SIGNS.T
@@ -214,7 +213,7 @@ def test_criterion_8_separable_soundness():
             cert = certify_separable(p)
             assert cert is not None, name
             worst_rec = max(worst_rec, cert.reconstruction_error)
-    ok = worst_wit >= -1e-9 and worst_rec < 1e-10 and len(valid) == 36
+    ok = worst_wit >= -1e-9 and worst_rec < 1e-10 and len(validated_ids) == 36
     report(8, ok,
            f"{n_each} states per constructor ({', '.join(SEPARABLE_CONSTRUCTORS)}): "
            f"min envelope value {worst_wit:.2e} across all 36 validated "

@@ -25,6 +25,8 @@ from mubwitness.classify import (
     classify_batch,
     detect_bound,
     random_case2,
+    random_cat1_branch,
+    random_cat2_branch,
 )
 
 PROTOTYPE = np.array(
@@ -497,9 +499,9 @@ def test_classify_validates_once_outside_the_certificates(monkeypatch):
     real = pauli.as_probs
     calls = []
 
-    def counting_as_probs(p, tol=1e-12):
+    def counting_as_probs(p):
         calls.append(1)
-        return real(p, tol)
+        return real(p)
 
     for mod in (pauli, ppt, importlib.import_module("mubwitness.classify")):
         if getattr(mod, "as_probs", None) is real:
@@ -531,17 +533,37 @@ def test_classify_runs_the_oracle_cross_check_on_every_verdict(monkeypatch):
 
 
 def test_a_tol_finer_than_rounding_is_no_oracle_disagreement():
-    # The two routes differ by a few 1e-17 on ordinary states: the gap bound
-    # stays at 1e-12 however small the verdict tol is.
+    # The two routes differ by a few 1e-17 on ordinary states: a tol finer
+    # than the input resolution is rejected, and at the resolution itself
+    # the gap bound still holds.
     rng = np.random.default_rng(0)
     states = [np.array([0.10749657005067323, 0.09450663936429698, 0.09700564932437437,
                         0.09603977967748333, 0.006800958742439573, 0.3547424117873048,
                         0.23262226359453772, 0.010785727458889945])]
     states += [fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values()]
     for p in states:
-        report = ppt.is_ppt(p, tol=1e-17)
-        assert report.passed == (report.min_value >= -1e-17)
-    assert classify(states[0], tol=1e-17).kind == VERDICT_NPT
+        with pytest.raises(ValueError, match="tol must be"):
+            ppt.is_ppt(p, tol=1e-17)
+        report = ppt.is_ppt(p, tol=pauli.RESOLUTION)
+        assert report.passed == (report.min_value >= -pauli.RESOLUTION)
+    with pytest.raises(ValueError, match="tol must be"):
+        classify(states[0], tol=1e-17)
+    assert classify(states[0], tol=pauli.RESOLUTION).kind == VERDICT_NPT
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, 1e-17])
+def test_verdict_entry_points_reject_a_tol_that_is_not_finite_or_finer_than_resolution(tol):
+    # The two branch states are separable, and judged at a nan or sub-resolution
+    # tol they read as NPT.
+    states = [random_cat1_branch(np.random.default_rng(0)),
+              random_cat2_branch(np.random.default_rng(0)), PROTOTYPE, np.full(8, 0.125)]
+    entry_points = (classify, detect_bound, certify_separable, ppt.is_ppt,
+                    lambda p, tol: classify_batch(p[None, :], tol))
+    for p in states:
+        assert classify(p).kind != VERDICT_NPT
+        for entry in entry_points:
+            with pytest.raises(ValueError, match="tol must be"):
+                entry(p, tol)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -603,7 +625,7 @@ def test_envelope_table_is_the_per_id_table_bit_for_bit():
         got = witness.nonlinear_values_batch(rs)
         assert got.shape == want.shape and got.dtype == want.dtype, name
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
-        cols = module._classify_rows(ps, ppt.ppt_inequalities_batch(ps), 1e-9)[1]
+        cols = module._classify_rows(ps, ppt.ppt_inequalities_batch(ps).min(axis=1), 1e-9)[1]
         assert np.array_equal(cols, np.argmin(want, axis=1)), name
     for p in batches["special"]:  # the scalar entry points' batch of one
         r = pauli.r_from_p(p)

@@ -257,7 +257,7 @@ def test_min_over_products_all_ids_nonnegative():
             assert val >= -1e-6
 
 
-def test_separable_nonnegativity_random_products():
+def test_separable_nonnegativity_random_products(validated_ids):
     # 1e5 random product states against every validated witness, vectorized
     rng = np.random.default_rng(7)
     n = 100_000
@@ -270,7 +270,7 @@ def test_separable_nonnegativity_random_products():
              np.exp(1j * phis[:, k]) * np.sin(thetas[:, k] / 2)], axis=1))
     vs = np.einsum("na,nb,nc->nabc", qs[0], qs[1], qs[2]).reshape(n, 8)
     worst = 0.0
-    for id_ in witness.validated_ids():
+    for id_ in validated_ids:
         m = witness.witness_matrix(id_.with_psi(math.pi / 4))
         vals = np.real(np.einsum("ni,ij,nj->n", vs.conj(), m, vs))
         worst = min(worst, float(vals.min()))
@@ -337,5 +337,5 @@ def test_validate_ew():
     assert not witness.validate_ew(ref_spec(0.0))
 
 
-def test_validated_ids_all_pass():
-    assert len(witness.validated_ids()) == 36
+def test_validated_ids_all_pass(validated_ids):
+    assert len(validated_ids) == 36
