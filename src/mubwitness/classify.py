@@ -5,7 +5,11 @@ witness), separable-certified (an explicit convex decomposition into
 manifestly separable pieces reconstructs it), or PPT-undecided.  The
 certificate constructions cover: one pair of probabilities zero, three
 pairs equal, and the three category separable branches together with the
-separable edge of the category-1 triangle.
+separable edge of the category-1 triangle.  One function,
+_match_patterns, states every family's equalities and inequalities, and
+both the scalar certify_separable and the batch core call it; the
+builders only compute weights and build terms.  classify and
+classify_batch raise ValueError on a row that is not a probability vector.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import (GHZ_PROJECTORS, RESOLUTION, SIGNS, as_probs, check_tol,
+from .pauli import (GHZ_PROJECTORS, RESOLUTION, SIGNS, as_probs, check_simplex, check_tol,
                     densities_from_p_batch, r_from_p, signed_sums)
 from .ppt import PptReport, is_ppt, ppt_inequalities_batch
 from .witness import NonlinearFamilyId, all_family_ids, nonlinear_values_batch
@@ -194,46 +198,77 @@ def _equatorial_mix_b(phi0: float) -> np.ndarray:
     return _product_average(sets)
 
 
-def _pair_values(p: np.ndarray):
-    return [(p[2 * k], p[2 * k + 1]) for k in range(4)]
+def _match_patterns(p1, p2, p3, p4, p5, p6, p7, p8):
+    """The one pattern test of every certificate family, within RESOLUTION.
 
-
-def _try_case1(p: np.ndarray, mt: float):
-    """One pair zero; PPT then forces the remaining pairs equal."""
-    pairs = _pair_values(p)
-    zero = next((k for k, (a, b) in enumerate(pairs) if a <= mt and b <= mt), None)
-    if zero is None:
-        return None
-    terms = []
+    Returns five flags in the order of _BUILDERS: one pair zero, three
+    pairs equal, and the category-1, -2 and -3 branches.  The body uses
+    only arithmetic, abs, comparisons, & and |, so it takes either eight
+    floats (one state, five bools) or eight (n,) columns (n states, five
+    bool arrays), and a row gets the same flags alone as inside a batch.
+    A builder turns every state its flag accepts into a certificate.
+    """
+    mt = RESOLUTION
+    pairs = ((p1, p2), (p3, p4), (p5, p6), (p7, p8))
+    diffs = [abs(a - b) for a, b in pairs]
+    equal = [d <= mt for d in diffs]
+    # Three pairs equal and pair k the odd one out needs eps1 =
+    # (s_m - |d_k|) / 2 >= 0 at every other pair m, s_m its sum: the PPT
+    # condition of the pattern.
+    room = [a + b + 2.0 * mt for a, b in pairs]
+    case1 = case2 = False
     for k, (a, b) in enumerate(pairs):
-        if k == zero:
-            continue
-        if abs(a - b) > mt:
-            return None
-        w = a + b
-        if w > 0.0:
-            terms.append(CertTerm(w, f"pair-{k + 1} computational mixture", _pair_mix(k)))
+        m1, m2, m3 = (m for m in range(4) if m != k)
+        rest_equal = equal[m1] & equal[m2] & equal[m3]
+        # Pair k zero; PPT then forces the other pairs equal.
+        case1 = case1 | ((a <= mt) & (b <= mt) & rest_equal)
+        case2 = case2 | (rest_equal & (diffs[k] <= room[m1]) & (diffs[k] <= room[m2])
+                         & (diffs[k] <= room[m3]))
+    # p2 = p4 = 0, p1 = p3, r5 = r6, nonnegative basis-state weights.
+    u = (p1 + p3) / 2.0
+    gamma5, gamma7 = (p5 - p6) / 2.0, (p7 - p8) / 2.0
+    cat1 = ((p2 <= mt) & (p4 <= mt) & (abs(p1 - p3) <= mt) & (abs(gamma5 - gamma7) <= mt)
+            & (abs(gamma5 + gamma7) <= u + mt)
+            & ((p5 + p6) / 2.0 - u / 2.0 >= -mt) & ((p7 + p8) / 2.0 - u / 2.0 >= -mt))
+    # p4 = 0, p3 = p1 + p2, p7 = p3 + p8, r5 + r7 = 0, nonnegative weights.
+    delta1, delta5 = p1 - p2, p5 - p6
+    cat2 = ((p4 <= mt) & (abs(p3 - p1 - p2) <= mt) & (abs(p7 - p3 - p8) <= mt)
+            & (abs(delta1 - delta5) <= mt) & (abs((delta1 + delta5) / 2.0) <= p3 + mt)
+            & ((p5 + p6) / 2.0 - p3 / 2.0 >= -mt) & ((p7 + p8) / 2.0 - p3 / 2.0 >= -mt))
+    # p1 + p3 = 1/2, four equal splits s >= 0, p5 = p7, p6 = p8.
+    splits = (p1 - p2, p3 - p4, p5 + p6, p7 + p8)
+    s = _mean_split(p1, p2, p3, p4, p5, p6, p7, p8)
+    cat3 = ((abs(p1 + p3 - 0.5) <= mt) & (abs(splits[0] - s) <= mt)
+            & (abs(splits[1] - s) <= mt) & (abs(splits[2] - s) <= mt)
+            & (abs(splits[3] - s) <= mt) & (s >= -mt)
+            & (abs(p5 - p7) <= mt) & (abs(p6 - p8) <= mt)
+            & ((p1 + p2 - s) / 2.0 >= -mt) & ((p3 + p4 - s) / 2.0 >= -mt))
+    return case1, case2, cat1, cat2, cat3
+
+
+def _mean_split(p1, p2, p3, p4, p5, p6, p7, p8):
+    """The category-3 split s: the mean of p1 - p2, p3 - p4, p5 + p6 and p7 + p8."""
+    return ((p1 - p2) + (p3 - p4) + (p5 + p6) + (p7 + p8)) / 4.0
+
+
+def _build_case1(p: np.ndarray):
+    """One pair zero, taken as the lightest; PPT then forces the remaining pairs equal."""
+    sums = p[0::2] + p[1::2]
+    zero = int(np.argmin(sums))
+    terms = [CertTerm(w, f"pair-{k + 1} computational mixture", _pair_mix(k))
+             for k, w in enumerate(sums) if k != zero and w > 0.0]
     return "one pair zero", terms
 
 
-def _try_case2(p: np.ndarray, mt: float):
+def _build_case2(p: np.ndarray):
     """At most one unequal pair; epsilon bookkeeping with both branches."""
-    pairs = _pair_values(p)
-    diffs = [abs(a - b) for a, b in pairs]
-    unequal = [k for k in range(4) if diffs[k] > mt]
-    if len(unequal) > 1:
-        return None
-    u = unequal[0] if unequal else int(np.argmax(diffs))
+    diffs = np.abs(p[0::2] - p[1::2])
+    u = int(np.argmax(diffs))
     hi, lo = (2 * u, 2 * u + 1) if p[2 * u] >= p[2 * u + 1] else (2 * u + 1, 2 * u)
     a, b = p[hi], p[lo]
-    equal = sorted(
-        (( (pa + pb) / 2.0, k) for k, (pa, pb) in enumerate(pairs) if k != u),
-    )
-    (q1, m1), (q2, m2), (q3, m3) = equal
-    eps1 = (b + 2.0 * q1 - a) / 2.0
-    if eps1 < -mt:
-        return None  # would need a PPT violation
-    eps1 = max(eps1, 0.0)
+    (q1, m1), (q2, m2), (q3, m3) = sorted(
+        ((p[2 * k] + p[2 * k + 1]) / 2.0, k) for k in range(4) if k != u)
+    eps1 = max((b + 2.0 * q1 - a) / 2.0, 0.0)
     sign = 1 if hi < lo else -1  # +: the odd (first) member carries the larger weight
     terms = []
     if eps1 <= b:
@@ -258,18 +293,15 @@ def _try_case2(p: np.ndarray, mt: float):
     return "three pairs equal", terms
 
 
-def _try_branch_cat1(p: np.ndarray, mt: float):
+def _basis_terms(weighted_states):
+    return [CertTerm(w, f"basis state {name}", _basis_projector(idx))
+            for w, idx, name in weighted_states if w > 0.0]
+
+
+def _build_branch_cat1(p: np.ndarray):
     """p2 = p4 = 0, p1 = p3, equal pair-3/pair-4 imbalance (r5 = r6)."""
-    if p[1] > mt or p[3] > mt or abs(p[0] - p[2]) > mt:
-        return None
-    gamma5 = (p[4] - p[5]) / 2.0
-    gamma7 = (p[6] - p[7]) / 2.0
-    if abs(gamma5 - gamma7) > mt:
-        return None
     u = (p[0] + p[2]) / 2.0
-    gamma = (gamma5 + gamma7) / 2.0
-    if abs(2.0 * gamma) > u + mt:
-        return None
+    gamma = ((p[4] - p[5]) / 2.0 + (p[6] - p[7]) / 2.0) / 2.0
     terms = []
     if u > 0.0:
         t = min(1.0, max(-1.0, 2.0 * gamma / u))
@@ -279,29 +311,15 @@ def _try_branch_cat1(p: np.ndarray, mt: float):
                               _equatorial_mix_a(phi0)))
     w34 = (p[4] + p[5]) / 2.0 - u / 2.0
     w78 = (p[6] + p[7]) / 2.0 - u / 2.0
-    if min(w34, w78) < -mt:
-        return None
-    for w, idx, name in ((w34, 2, "|010>"), (w34, 5, "|101>"),
-                         (w78, 3, "|011>"), (w78, 4, "|100>")):
-        if w > 0.0:
-            terms.append(CertTerm(w, f"basis state {name}", _basis_projector(idx)))
+    terms += _basis_terms(((w34, 2, "|010>"), (w34, 5, "|101>"),
+                           (w78, 3, "|011>"), (w78, 4, "|100>")))
     return "category-1 branch (r5 = r6)", terms
 
 
-def _try_branch_cat2(p: np.ndarray, mt: float):
+def _build_branch_cat2(p: np.ndarray):
     """p4 = 0, p3 = p1 + p2, p7 = p3 + p8, balanced cross pairs (r5 + r7 = 0)."""
-    if p[3] > mt:
-        return None
     q3 = p[2]
-    if abs(q3 - p[0] - p[1]) > mt or abs(p[6] - q3 - p[7]) > mt:
-        return None
-    delta1 = p[0] - p[1]
-    delta5 = p[4] - p[5]
-    if abs(delta1 - delta5) > mt:
-        return None
-    delta = (delta1 + delta5) / 2.0
-    if abs(delta) > q3 + mt:
-        return None
+    delta = ((p[0] - p[1]) + (p[4] - p[5])) / 2.0
     terms = []
     if q3 > 0.0:
         t = min(1.0, max(-1.0, delta / q3))
@@ -311,25 +329,14 @@ def _try_branch_cat2(p: np.ndarray, mt: float):
                               _equatorial_mix_b(phi0)))
     w34 = (p[4] + p[5]) / 2.0 - q3 / 2.0
     w78 = (p[6] + p[7]) / 2.0 - q3 / 2.0
-    if min(w34, w78) < -mt:
-        return None
-    for w, idx, name in ((w34, 2, "|010>"), (w34, 5, "|101>"),
-                         (w78, 3, "|011>"), (w78, 4, "|100>")):
-        if w > 0.0:
-            terms.append(CertTerm(w, f"basis state {name}", _basis_projector(idx)))
+    terms += _basis_terms(((w34, 2, "|010>"), (w34, 5, "|101>"),
+                           (w78, 3, "|011>"), (w78, 4, "|100>")))
     return "category-2 branch (r5 + r7 = 0)", terms
 
 
-def _try_branch_cat3(p: np.ndarray, mt: float):
+def _build_branch_cat3(p: np.ndarray):
     """Boundary family p1 + p3 = 1/2 with p5 = p7, p6 = p8 (r5 = r6)."""
-    if abs(p[0] + p[2] - 0.5) > mt:
-        return None
-    s_candidates = (p[0] - p[1], p[2] - p[3], p[4] + p[5], p[6] + p[7])
-    s = float(np.mean(s_candidates))
-    if any(abs(c - s) > mt for c in s_candidates) or s < -mt:
-        return None
-    if abs(p[4] - p[6]) > mt or abs(p[5] - p[7]) > mt:
-        return None
+    s = _mean_split(*p)
     terms = []
     if s > 0.0:
         t = min(1.0, max(-1.0, (p[4] - p[5]) / s))
@@ -340,107 +347,48 @@ def _try_branch_cat3(p: np.ndarray, mt: float):
                               _equatorial_mix_a(phi0)))
     w12 = (p[0] + p[1] - s) / 2.0
     w34 = (p[2] + p[3] - s) / 2.0
-    if min(w12, w34) < -mt:
-        return None
-    for w, idx, name in ((w12, 0, "|000>"), (w12, 7, "|111>"),
-                         (w34, 1, "|001>"), (w34, 6, "|110>")):
-        if w > 0.0:
-            terms.append(CertTerm(w, f"basis state {name}", _basis_projector(idx)))
+    terms += _basis_terms(((w12, 0, "|000>"), (w12, 7, "|111>"),
+                           (w34, 1, "|001>"), (w34, 6, "|110>")))
     return "category-3 branch (r5 = r6)", terms
 
 
-_CERTIFICATE_BUILDERS = (
-    _try_case1,
-    _try_case2,
-    _try_branch_cat1,
-    _try_branch_cat2,
-    _try_branch_cat3,
+_BUILDERS = (
+    _build_case1,
+    _build_case2,
+    _build_branch_cat1,
+    _build_branch_cat2,
+    _build_branch_cat3,
 )
 
 
 def certify_separable(p, tol: float = 1e-9):
-    """First verifying separable certificate, or None.
+    """Separable certificate of the first family the state matches, or None.
 
-    Constructions are tried in a fixed order (pair-zero, three-pairs-equal,
-    then the category branches); each candidate must reconstruct the state
-    entrywise to 1e-10 with nonnegative weights summing to one.  A matched
-    pattern that fails reconstruction raises, since the constructions are
-    exact on their patterns.  The patterns match within pauli.RESOLUTION.
+    The families are tried in a fixed order (pair-zero, three-pairs-equal,
+    then the category branches), and _match_patterns is the only pattern
+    test.  The certificate must reconstruct the state entrywise to 1e-10
+    with nonnegative weights summing to one.  Since the constructions are
+    exact on their patterns, a matched state that fails any of these checks
+    raises RuntimeError: a matched state is certified, or a fault is raised.
     """
     check_tol(tol)
     arr = as_probs(p)
     _require_ppt_cheap(arr, tol)
+    family = next((k for k, hit in enumerate(_match_patterns(*arr.tolist())) if hit), None)
+    if family is None:
+        return None
+    name, terms = _BUILDERS[family](arr)
+    weights = np.array([t.weight for t in terms])
+    if weights.size == 0 or weights.min() < -1e-11:
+        raise RuntimeError(f"certificate '{name}' has weights {weights.tolist()}")
+    if abs(weights.sum() - 1.0) > 1e-10:
+        raise RuntimeError(f"certificate '{name}' weights sum to {weights.sum()}")
     rho = densities_from_p_batch(arr[None, :])[0]  # density_from_p without a second as_probs
-    for builder in _CERTIFICATE_BUILDERS:
-        out = builder(arr, RESOLUTION)
-        if out is None:
-            continue
-        name, terms = out
-        weights = np.array([t.weight for t in terms])
-        if weights.size == 0 or weights.min() < -1e-11:
-            continue
-        if abs(weights.sum() - 1.0) > 1e-10:
-            raise RuntimeError(f"certificate '{name}' weights sum to {weights.sum()}")
-        recon = sum(t.weight * t.matrix for t in terms)
-        err = float(np.max(np.abs(recon - rho)))
-        if err > 1e-10:
-            raise RuntimeError(f"certificate '{name}' reconstruction error {err}")
-        return SeparableCertificate(tuple(terms), err, name)
-    return None
-
-
-def certificate_mask(ps: np.ndarray) -> np.ndarray:
-    """Rows on which some certificate builder can match, as one boolean mask.
-
-    Each clause restates, over the whole batch, the equalities and
-    inequalities one builder tests before it builds a matrix.  The
-    tolerance is doubled so that rounding differences from the scalar
-    builders can only add rows: every row certify_separable certifies is
-    in the mask, and the builders decide the rest.
-    """
-    p = np.atleast_2d(np.asarray(ps, dtype=float))
-    mt = 2.0 * RESOLUTION
-    rows = np.arange(p.shape[0])
-
-    def cross_weights_ok(x):  # the basis-state weights of the cat1/cat2 branches
-        return np.minimum(p[:, 4] + p[:, 5], p[:, 6] + p[:, 7]) / 2.0 - x / 2.0 >= -mt
-
-    # _try_case2: at most one unequal pair u, and eps1 >= 0.  This also
-    # covers _try_case1: its zero pair is an equal pair, so all four pairs
-    # are equal and eps1 >= min pair mean - mt/2.
-    hi, lo = np.maximum(p[:, 0::2], p[:, 1::2]), np.minimum(p[:, 0::2], p[:, 1::2])
-    u = np.argmax(hi - lo, axis=1)
-    means = (p[:, 0::2] + p[:, 1::2]) / 2.0
-    means[rows, u] = np.inf
-    eps1 = (lo[rows, u] + 2.0 * means.min(axis=1) - hi[rows, u]) / 2.0
-    case2 = (np.count_nonzero(hi - lo > mt, axis=1) <= 1) & (eps1 >= -mt)
-
-    # _try_branch_cat1: p2 = p4 = 0, p1 = p3, r5 = r6, nonnegative weights.
-    half = (p[:, 0] + p[:, 2]) / 2.0
-    g5, g7 = (p[:, 4] - p[:, 5]) / 2.0, (p[:, 6] - p[:, 7]) / 2.0
-    cat1 = ((p[:, 1] <= mt) & (p[:, 3] <= mt) & (np.abs(p[:, 0] - p[:, 2]) <= mt)
-            & (np.abs(g5 - g7) <= mt) & (np.abs(g5 + g7) <= half + mt)
-            & cross_weights_ok(half))
-
-    # _try_branch_cat2: p4 = 0, p3 = p1 + p2, p7 = p3 + p8, r5 + r7 = 0.
-    q3 = p[:, 2]
-    d1, d5 = p[:, 0] - p[:, 1], p[:, 4] - p[:, 5]
-    cat2 = ((p[:, 3] <= mt) & (np.abs(q3 - p[:, 0] - p[:, 1]) <= mt)
-            & (np.abs(p[:, 6] - q3 - p[:, 7]) <= mt) & (np.abs(d1 - d5) <= mt)
-            & (np.abs(d1 + d5) / 2.0 <= q3 + mt) & cross_weights_ok(q3))
-
-    # _try_branch_cat3: p1 + p3 = 1/2, four equal splits s >= 0, p5 = p7, p6 = p8.
-    cands = np.stack([p[:, 0] - p[:, 1], p[:, 2] - p[:, 3],
-                      p[:, 4] + p[:, 5], p[:, 6] + p[:, 7]], axis=1)
-    s = cands.mean(axis=1)
-    w12 = (p[:, 0] + p[:, 1] - s) / 2.0
-    w34 = (p[:, 2] + p[:, 3] - s) / 2.0
-    cat3 = ((np.abs(p[:, 0] + p[:, 2] - 0.5) <= mt)
-            & np.all(np.abs(cands - s[:, None]) <= mt, axis=1) & (s >= -mt)
-            & (np.abs(p[:, 4] - p[:, 6]) <= mt) & (np.abs(p[:, 5] - p[:, 7]) <= mt)
-            & (np.minimum(w12, w34) >= -mt))
-
-    return case2 | cat1 | cat2 | cat3
+    recon = sum(t.weight * t.matrix for t in terms)
+    err = float(np.max(np.abs(recon - rho)))
+    if err > 1e-10:
+        raise RuntimeError(f"certificate '{name}' reconstruction error {err}")
+    return SeparableCertificate(tuple(terms), err, name)
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +432,13 @@ def classify_batch(ps: np.ndarray, tol: float = 1e-9):
     """Vectorized pipeline over many states.
 
     Returns (verdicts, witness_labels, witness_values): object/float arrays
-    aligned with the input rows.  PPT here means the analytic inequalities;
-    per-state `classify` additionally cross-checks the eigenvalue oracle.
+    aligned with the input rows.  Raises ValueError, as classify does, when
+    a row is not a probability vector (pauli.check_simplex).  PPT here means
+    the analytic inequalities; per-state `classify` additionally
+    cross-checks the eigenvalue oracle.
     """
     ps = np.asarray(ps, dtype=float)
+    check_simplex(ps)
     codes, cols, values, _ = _classify_rows(ps, ppt_inequalities_batch(ps).min(axis=1), tol)
     detected = codes == _BOUND
     labels = np.where(detected, _LABELS[cols], "")
@@ -516,8 +467,10 @@ def _classify_rows(ps: np.ndarray, ineq_min: np.ndarray, tol: float):
     ineq_min is each row's smallest inequality value, as for _detect_rows.
     Returns (codes, cols, values, certificates): verdict codes indexing
     _VERDICTS, _detect_rows' cols and values, and the certificate of every
-    row certified separable, keyed by row.  certificate_mask sees only the
-    PPT rows, and only the rows it keeps reach the scalar builders.
+    row certified separable, keyed by row.  _match_patterns runs once over
+    the PPT rows' columns, and certify_separable only on the rows it flags,
+    each of which it certifies.  The rows are not validated here: classify
+    has is_ppt validate its state, and classify_batch runs check_simplex.
     """
     ppt_mask, cols, values, detected = _detect_rows(ps, ineq_min, tol)
     codes = np.where(ppt_mask, _UNDECIDED, _NPT)
@@ -525,15 +478,12 @@ def _classify_rows(ps: np.ndarray, ineq_min: np.ndarray, tol: float):
     certs = {}
     cand = np.flatnonzero(ppt_mask)
     if cand.size:
-        cand = cand[certificate_mask(ps[cand])]
+        cand = cand[np.logical_or.reduce(_match_patterns(*ps[cand].T))]
     for i in cand:
-        cert = certify_separable(ps[i], tol)
-        if cert is None:
-            continue
+        certs[int(i)] = certify_separable(ps[i], tol)
         if detected[i]:
             raise RuntimeError("state both detected and certified separable")
         codes[i] = _SEPARABLE
-        certs[int(i)] = cert
     return codes, cols, values, certs
 
 

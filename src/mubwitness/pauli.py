@@ -122,18 +122,35 @@ def check_tol(tol) -> None:
         raise ValueError(f"tol must be a finite number of at least {RESOLUTION:g}, got {tol!r}")
 
 
+def check_simplex(ps: np.ndarray) -> None:
+    """Raise ValueError unless every row of the (n, 8) array ps is a probability vector.
+
+    Each entry must lie in [0, 1] and each row sum to 1, both within
+    RESOLUTION.  The message names the first bad row.
+    """
+    if ps.ndim != 2 or ps.shape[1] != 8:
+        raise ValueError(f"expected rows of 8 probabilities, got shape {ps.shape}")
+    outside = (ps < -RESOLUTION) | (ps > 1.0 + RESOLUTION)
+    if outside.any():
+        raise ValueError(f"probabilities outside [0, 1]: {ps[outside.any(axis=1)][0]}")
+    # Summed column by column, in the pairwise order numpy uses for 8 terms:
+    # a reduction along rows this short costs about three times as much.
+    c = ps.T
+    totals = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+    bad = ~(np.abs(totals - 1.0) <= RESOLUTION)
+    if bad.any():
+        total = totals[bad][0]
+        if not math.isfinite(total):  # a NaN passes the range test
+            raise ValueError("probabilities must be finite numbers")
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+
+
 def as_probs(p) -> np.ndarray:
     """Validate and return a probability vector over the GHZ basis."""
     arr = np.asarray(p, dtype=float)
     if arr.shape != (8,):
         raise ValueError(f"expected 8 probabilities, got shape {arr.shape}")
-    if np.any(arr < -RESOLUTION) or np.any(arr > 1.0 + RESOLUTION):
-        raise ValueError(f"probabilities outside [0, 1]: {arr}")
-    total = arr.sum()
-    if not math.isfinite(total):  # a NaN passes both range tests
-        raise ValueError("probabilities must be finite numbers")
-    if abs(total - 1.0) > RESOLUTION:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    check_simplex(arr[None, :])
     return arr
 
 

@@ -19,7 +19,6 @@ from mubwitness.classify import (
     cat1_special,
     cat1_special_batch,
     category_of,
-    certificate_mask,
     certify_separable,
     classify,
     classify_batch,
@@ -346,9 +345,9 @@ def test_scalar_entry_points_equal_their_batch_row(seed):
                 assert v.detection is None and d is None
 
 
-# --- the certificate mask ----------------------------------------------------
+# --- the certificate pattern match -------------------------------------------
 #
-# Each snap maps a simplex draw q onto one certificate builder's pattern
+# Each snap maps a simplex draw q onto one certificate family's pattern
 # (its equalities hold exactly in exact arithmetic); the result is a
 # probability vector but need not be PPT or certifiable.
 
@@ -411,15 +410,23 @@ def _states(draw):
     return np.array(states)
 
 
+def _match(*cols):
+    return importlib.import_module("mubwitness.classify")._match_patterns(*cols)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_states())
-def test_certificate_mask_sound_and_batch_matches_scalar(ps):
-    mask = certificate_mask(ps)
+def test_pattern_match_scalar_equals_batch_and_certifies(ps):
+    batch = np.array(_match(*ps.T))  # (5, n): one row of flags per family
     verdicts, labels, values = classify_batch(ps)
     ineq_min = ppt.ppt_inequalities_batch(ps).min(axis=1)
     for i, p in enumerate(ps):
-        if ineq_min[i] >= -1e-9 and certify_separable(p) is not None:
-            assert mask[i], p.tolist()
+        scalar = _match(*p.tolist())
+        assert all(type(flag) is bool for flag in scalar)
+        assert list(scalar) == batch[:, i].tolist(), p.tolist()
+        # A matched state is PPT and certified; an unmatched PPT state is not.
+        certified = ineq_min[i] >= -1e-9 and certify_separable(p) is not None
+        assert any(scalar) == certified, p.tolist()
         v = classify(p)
         assert v.kind == verdicts[i], p.tolist()
         if v.kind == VERDICT_BOUND:
@@ -429,9 +436,9 @@ def test_certificate_mask_sound_and_batch_matches_scalar(ps):
             assert labels[i] == "" and math.isnan(values[i])
 
 
-def test_certificate_mask_misses_flat_simplex():
+def test_pattern_match_misses_flat_simplex():
     rng = np.random.default_rng(12)
-    assert not certificate_mask(random_probs(rng, 20_000)).any()
+    assert not np.any(_match(*random_probs(rng, 20_000).T))
 
 
 def test_classify_batch_raises_on_detected_and_certified(monkeypatch):
@@ -440,7 +447,7 @@ def test_classify_batch_raises_on_detected_and_certified(monkeypatch):
     def fake_certificate(p, tol=1e-9):
         return module.SeparableCertificate((), 0.0, "fake")
 
-    monkeypatch.setattr(module, "certificate_mask", lambda ps: np.ones(len(ps), bool))
+    monkeypatch.setattr(module, "_match_patterns", lambda *cols: (np.ones(len(cols[0]), bool),))
     monkeypatch.setattr(module, "certify_separable", fake_certificate)
     with pytest.raises(RuntimeError, match="both detected and certified"):
         classify_batch(PROTOTYPE[None, :])
@@ -455,21 +462,23 @@ def _mixed_batch(seed):
     return np.array(states)[rng.permutation(len(states))]
 
 
-def test_certificate_mask_sees_only_ppt_rows(monkeypatch):
+def test_pattern_match_sees_only_ppt_rows(monkeypatch):
     module = importlib.import_module("mubwitness.classify")
+    real = module._match_patterns
     ps = _mixed_batch(31)
     ppt_rows = ppt.ppt_inequalities_batch(ps).min(axis=1) >= -1e-9
     assert 0 < ppt_rows.sum() < len(ps)
     seen = []
 
-    def counting_mask(rows):
-        seen.append(rows.copy())
-        return certificate_mask(rows)
+    def counting_match(*cols):
+        if isinstance(cols[0], np.ndarray):  # the core's batch call, not certify_separable's
+            seen.append(np.stack(cols, axis=1))
+        return real(*cols)
 
-    monkeypatch.setattr(module, "certificate_mask", counting_mask)
+    monkeypatch.setattr(module, "_match_patterns", counting_match)
     verdicts = classify_batch(ps)[0]
     assert len(seen) == 1 and np.array_equal(seen[0], ps[ppt_rows])
-    # Reference verdicts with no mask at all: every PPT row tries the builders.
+    # Reference verdicts with no batch match: every PPT row runs certify_separable.
     envelope = witness.nonlinear_values_batch(ps @ pauli.SIGNS.T).min(axis=1)
     for i, p in enumerate(ps):
         if not ppt_rows[i]:
@@ -482,13 +491,13 @@ def test_certificate_mask_sees_only_ppt_rows(monkeypatch):
     assert set(verdicts) == {VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED}
 
 
-def test_certificate_mask_skipped_on_all_npt_batch(monkeypatch):
+def test_pattern_match_skipped_on_all_npt_batch(monkeypatch):
     module = importlib.import_module("mubwitness.classify")
 
-    def no_mask(rows):
-        raise AssertionError("certificate_mask called on an NPT batch")
+    def no_match(*cols):
+        raise AssertionError("_match_patterns called on an NPT batch")
 
-    monkeypatch.setattr(module, "certificate_mask", no_mask)
+    monkeypatch.setattr(module, "_match_patterns", no_match)
     ps = random_probs(np.random.default_rng(32), 400)
     ps = ps[ppt.ppt_inequalities_batch(ps).min(axis=1) < -1e-9]
     assert set(classify_batch(ps)[0]) == {VERDICT_NPT}
@@ -509,11 +518,35 @@ def test_classify_validates_once_outside_the_certificates(monkeypatch):
     for p in _mixed_batch(33):
         calls.clear()
         v = classify(p)
-        # certify_separable, being public, validates again the rows the mask keeps.
-        masked = v.kind != VERDICT_NPT and certificate_mask(p[None])[0]
-        assert len(calls) == 1 + masked, p.tolist()
+        # certify_separable, being public, validates again the rows the match flags.
+        matched = v.kind != VERDICT_NPT and any(_match(*p.tolist()))
+        assert len(calls) == 1 + matched, p.tolist()
     with pytest.raises(ValueError, match="sum to"):
         classify([0.5, 0.5, 0.5, 0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("row, message", [
+    ([math.nan] * 8, "must be finite"),
+    ([0.5, 0.5, 0.5, 0, 0, 0, 0, 0], "sum to"),
+    ([1.2, -0.2, 0, 0, 0, 0, 0, 0], "outside"),
+])
+def test_classify_batch_rejects_what_classify_rejects(row, message):
+    with pytest.raises(ValueError, match=message):
+        classify(row)
+    with pytest.raises(ValueError, match=message):
+        classify_batch(np.array([np.full(8, 0.125), row, PROTOTYPE]))
+
+
+def test_a_matched_certificate_with_a_negative_weight_raises(monkeypatch):
+    module = importlib.import_module("mubwitness.classify")
+    mixed = np.eye(8, dtype=complex) / 8.0
+
+    def negative_weight(p):
+        return "fake", [module.CertTerm(1.5, "mixed", mixed), module.CertTerm(-0.5, "mixed", mixed)]
+
+    monkeypatch.setattr(module, "_BUILDERS", (negative_weight,) * 5)
+    with pytest.raises(RuntimeError, match="certificate 'fake' has weights"):
+        certify_separable(np.full(8, 0.125))
 
 
 def test_classify_runs_the_oracle_cross_check_on_every_verdict(monkeypatch):
