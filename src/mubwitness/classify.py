@@ -457,7 +457,7 @@ def _detect_rows(ps: np.ndarray, ineq_min: np.ndarray, tol: float):
     ppt_mask = ineq_min >= -tol
     table = nonlinear_values_batch(signed_sums(ps, SIGNS))
     cols = np.argmin(table, axis=1)
-    values = np.take_along_axis(table, cols[:, None], axis=1)[:, 0]
+    values = table[np.arange(len(cols)), cols]
     return ppt_mask, cols, values, ppt_mask & (values < -tol)
 
 
@@ -468,16 +468,20 @@ def _classify_rows(ps: np.ndarray, ineq_min: np.ndarray, tol: float):
     Returns (codes, cols, values, certificates): verdict codes indexing
     _VERDICTS, _detect_rows' cols and values, and the certificate of every
     row certified separable, keyed by row.  _match_patterns runs once over
-    the PPT rows' columns, and certify_separable only on the rows it flags,
-    each of which it certifies.  The rows are not validated here: classify
-    has is_ppt validate its state, and classify_batch runs check_simplex.
+    the PPT rows' columns, or on the row's eight floats when only one row is
+    PPT, and certify_separable only on the rows it flags, each of which it
+    certifies.  The rows are not validated here: classify has is_ppt
+    validate its state, and classify_batch runs check_simplex.
     """
     ppt_mask, cols, values, detected = _detect_rows(ps, ineq_min, tol)
     codes = np.where(ppt_mask, _UNDECIDED, _NPT)
     codes[detected] = _BOUND
     certs = {}
     cand = np.flatnonzero(ppt_mask)
-    if cand.size:
+    if cand.size == 1:  # eight floats: numpy calls on one-element columns cost ~20x more
+        if not any(_match_patterns(*ps[cand[0]].tolist())):
+            cand = cand[:0]
+    elif cand.size:
         cand = cand[np.logical_or.reduce(_match_patterns(*ps[cand].T))]
     for i in cand:
         certs[int(i)] = certify_separable(ps[i], tol)

@@ -7,10 +7,14 @@ sums (pauli.signed_sums, so a state's values have the same bits in the
 scalar report and in any batch), and a similarity-rotation (Jacobi)
 eigenvalue solver applied to the partially transposed density matrix.
 The solver is generic: each sweep visits every off-diagonal pair once, in
-round-robin rounds of disjoint pairs that are rotated together.  A
-GHZ-diagonal partial transpose is X-shaped, so only the round of pairs
-(i, 7 - i) ever rotates, each pair on its own 2x2 block, and the
-eigenvalues equal those of a cyclic pair-by-pair sweep bit for bit.
+round-robin rounds of disjoint pairs that are rotated together, and it
+stops at the end of any round after which the off-diagonal part is within
+tolerance.  A GHZ-diagonal partial transpose is X-shaped, so only the
+round of pairs (i, 7 - i) ever rotates, each pair on its own 2x2 block:
+the solver stops after that one round, and the eigenvalues equal those of
+a cyclic pair-by-pair sweep bit for bit.  The three partial transposes of
+a batch come from one contraction with _PT_PROJECTORS, the partially
+transposed GHZ projectors.
 
 The polytope's shadow on a coordinate plane (p_a, p_b) is one of two
 fixed rational polygons, read from a table by whether a and b index the
@@ -30,8 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pauli import (RESOLUTION, as_probs, check_tol, densities_from_p_batch, is_hermitian,
-                    signed_sums)
+from .pauli import GHZ_PROJECTORS, RESOLUTION, as_probs, check_tol, is_hermitian, signed_sums
 
 # Quadruples (0-based indices into p) in the fixed report order; the four
 # rows of each quadruple (a, b, c, d) are a+b+c-d, a+b-c+d, a-b+c+d, -a+b+c+d.
@@ -107,6 +110,11 @@ def partial_transpose(rho: np.ndarray, qubit: int) -> np.ndarray:
     return t.transpose(axes).reshape(rho.shape)
 
 
+# The partially transposed GHZ projectors, [k, q - 1] = P_k^{T_q}: (8, 3, 8, 8).
+_PT_PROJECTORS = np.stack([partial_transpose(GHZ_PROJECTORS, q) for q in (1, 2, 3)], axis=1)
+_PT_PROJECTORS.setflags(write=False)
+
+
 @functools.lru_cache(maxsize=None)
 def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """One Jacobi sweep over a d x d matrix as rounds of disjoint (p, q) pairs.
@@ -140,15 +148,18 @@ def _jacobi_batch(mats: np.ndarray) -> np.ndarray:
     Each sweep annihilates every off-diagonal pair once, in the rounds of
     _round_robin: the pairs of a round are disjoint, so their rotations are
     applied together, each with the same per-element formula, and a round
-    whose pairs are all zero is skipped.  Convergence is quadratic and 8x8
-    inputs settle well before the cap of 14 sweeps.  Returns the sorted
-    eigenvalues, shape (n, d).
+    whose pairs are all zero is skipped.  The iteration stops at the end of
+    any round after which every off-diagonal entry is within tol * scale,
+    mid-sweep if need be.  Convergence is quadratic and 8x8 inputs settle
+    well before the cap of 14 sweeps.  Returns the sorted eigenvalues,
+    shape (n, d).
 
     A GHZ-diagonal partial transpose is X-shaped: its only off-diagonal
     entries sit on the disjoint pairs (i, 7 - i), which form the first
     round.  Each rotation then works on its own 2x2 block with the same
     operations as a cyclic pair-by-pair sweep, and every other entry stays
-    0, so the eigenvalues are bit for bit those of the cyclic order.
+    0, so the eigenvalues are bit for bit those of the cyclic order, and
+    the iteration stops after that first round.
     """
     sweeps, tol = 14, 1e-14
     a = np.array(mats, dtype=complex)
@@ -161,34 +172,37 @@ def _jacobi_batch(mats: np.ndarray) -> np.ndarray:
     # The off-diagonal entries as a view: drop each row's diagonal by
     # reading the flattened matrix in strides of d + 1 after the first entry.
     offdiag = a.reshape(n, d * d)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d]
-    for _ in range(sweeps):
-        if np.abs(offdiag).max(initial=0.0) <= tol * scale:
+
+    def settled() -> bool:
+        return np.abs(offdiag).max(initial=0.0) <= tol * scale
+
+    for p, q in () if settled() else _round_robin(d) * sweeps:
+        apq = a[:, p, q]
+        aabs = np.abs(apq)
+        active = aabs > tol * scale * 1e-2
+        if not active.any():
+            continue
+        safe = np.where(active, aabs, 1.0)
+        phase = np.where(active, apq / safe, 1.0)
+        app = a[:, p, p].real
+        aqq = a[:, q, q].real
+        tau = (aqq - app) / (2.0 * safe)
+        t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+        t = np.where(tau == 0.0, 1.0, t)  # 45-degree rotation when diagonal ties
+        t = np.where(active, t, 0.0)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        sp, sq = s * phase, s * np.conj(phase)
+        col_p = a[:, :, p]  # fancy indexing copies
+        col_q = a[:, :, q]
+        a[:, :, p] = c[:, None] * col_p - sq[:, None] * col_q
+        a[:, :, q] = sp[:, None] * col_p + c[:, None] * col_q
+        row_p = a[:, p, :]
+        row_q = a[:, q, :]
+        a[:, p, :] = c[:, :, None] * row_p - sp[:, :, None] * row_q
+        a[:, q, :] = sq[:, :, None] * row_p + c[:, :, None] * row_q
+        if settled():
             break
-        for p, q in _round_robin(d):
-            apq = a[:, p, q]
-            aabs = np.abs(apq)
-            active = aabs > tol * scale * 1e-2
-            if not active.any():
-                continue
-            safe = np.where(active, aabs, 1.0)
-            phase = np.where(active, apq / safe, 1.0)
-            app = a[:, p, p].real
-            aqq = a[:, q, q].real
-            tau = (aqq - app) / (2.0 * safe)
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(tau == 0.0, 1.0, t)  # 45-degree rotation when diagonal ties
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            sp, sq = s * phase, s * np.conj(phase)
-            col_p = a[:, :, p]  # fancy indexing copies
-            col_q = a[:, :, q]
-            a[:, :, p] = c[:, None] * col_p - sq[:, None] * col_q
-            a[:, :, q] = sp[:, None] * col_p + c[:, None] * col_q
-            row_p = a[:, p, :]
-            row_q = a[:, q, :]
-            a[:, p, :] = c[:, :, None] * row_p - sp[:, :, None] * row_q
-            a[:, q, :] = sq[:, :, None] * row_p + c[:, :, None] * row_q
     return np.sort(np.einsum("nii->ni", a).real, axis=1)
 
 
@@ -210,9 +224,12 @@ def pt_min_eigenvalues(p) -> tuple[float, float, float]:
 
 
 def pt_min_eigenvalues_batch(ps: np.ndarray) -> np.ndarray:
-    """Batch oracle: min eigenvalue per qubit, shape (n, 3), from one Jacobi call."""
-    rhos = densities_from_p_batch(ps)
-    pts = np.stack([partial_transpose(rhos, q) for q in (1, 2, 3)], axis=1)  # (n, 3, 8, 8)
+    """Batch oracle: min eigenvalue per qubit, shape (n, 3), from one Jacobi call.
+
+    rho^{T_q} = sum_k p_k P_k^{T_q}, so one contraction with _PT_PROJECTORS
+    gives every partial transpose of the batch, shape (n, 3, 8, 8).
+    """
+    pts = np.tensordot(np.asarray(ps, dtype=float), _PT_PROJECTORS, axes=(1, 0))
     return _jacobi_batch(pts.reshape(-1, 8, 8))[:, 0].reshape(-1, 3)
 
 

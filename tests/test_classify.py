@@ -447,7 +447,10 @@ def test_classify_batch_raises_on_detected_and_certified(monkeypatch):
     def fake_certificate(p, tol=1e-9):
         return module.SeparableCertificate((), 0.0, "fake")
 
-    monkeypatch.setattr(module, "_match_patterns", lambda *cols: (np.ones(len(cols[0]), bool),))
+    def match_all(*cols):  # either form: eight floats or eight columns
+        return (np.ones(np.shape(cols[0]), bool),)
+
+    monkeypatch.setattr(module, "_match_patterns", match_all)
     monkeypatch.setattr(module, "certify_separable", fake_certificate)
     with pytest.raises(RuntimeError, match="both detected and certified"):
         classify_batch(PROTOTYPE[None, :])
@@ -489,6 +492,48 @@ def test_pattern_match_sees_only_ppt_rows(monkeypatch):
             want = VERDICT_BOUND if envelope[i] < -1e-9 else VERDICT_UNDECIDED
         assert verdicts[i] == classify(p).kind == want, p.tolist()
     assert set(verdicts) == {VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED}
+
+
+def test_core_matches_one_ppt_row_as_floats_and_more_as_columns(monkeypatch):
+    module = importlib.import_module("mubwitness.classify")
+    real = module._match_patterns
+    forms = []
+
+    def spy(*args):
+        floats = all(type(a) is float for a in args)
+        forms.append("floats" if floats else f"columns of {np.shape(args[0])}")
+        return real(*args)
+
+    monkeypatch.setattr(module, "_match_patterns", spy)
+    npt_rows = np.eye(8)[:3]
+    mixed = _mixed_batch(34)
+    n_ppt = int((ppt.ppt_inequalities_batch(mixed).min(axis=1) >= -1e-9).sum())
+    cases = [  # (call, the form of the core's call, which comes first)
+        (lambda: classify(CAT2_STATE), "floats"),
+        (lambda: classify(np.full(8, 0.125)), "floats"),
+        (lambda: classify_batch(CAT1_STATE[None, :]), "floats"),
+        (lambda: classify_batch(np.vstack([npt_rows, PROTOTYPE])), "floats"),
+        (lambda: classify_batch(np.vstack([npt_rows, PROTOTYPE, CAT2_STATE])), "columns of (2,)"),
+        (lambda: classify_batch(mixed), f"columns of {(n_ppt,)}"),
+    ]
+    for call, want in cases:
+        forms.clear()
+        call()
+        assert forms[0] == want
+        assert set(forms[1:]) <= {"floats"}  # certify_separable's own match
+    forms.clear()
+    classify(np.eye(8)[0])  # NPT: no match at all
+    assert forms == []
+
+
+def test_a_batch_of_one_row_equals_that_row_in_a_mixed_batch():
+    ps = _mixed_batch(35)  # six states of every separable family among the rest
+    verdicts, labels, values = classify_batch(ps)
+    assert set(verdicts) == {VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED}
+    for i, p in enumerate(ps):
+        v1, l1, x1 = classify_batch(p[None, :])
+        assert (v1[0], l1[0]) == (verdicts[i], labels[i]), p.tolist()
+        assert _bits(x1[0]) == _bits(values[i]), p.tolist()
 
 
 def test_pattern_match_skipped_on_all_npt_batch(monkeypatch):

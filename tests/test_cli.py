@@ -368,6 +368,21 @@ def test_region_outputs_match_golden_files(tmp_path, name, args):
         assert svg.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
 
 
+CLASSIFY_GOLDEN = Path(__file__).parent / "data" / "classify"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CLASSIFY_GOLDEN.glob("*.p")))
+def test_classify_outputs_match_golden_files(capsys, name):
+    # Reference outputs of `mubw classify` on the state in <name>.p: the
+    # prototype, I/8, CAT2_STATE, one state of each separable family, an NPT
+    # and an undecided draw.  --json prints the oracle's eigenvalues in full.
+    state = CLASSIFY_GOLDEN / f"{name}.p"
+    for flags, suffix in (([], "txt"), (["--json"], "json")):
+        assert cli.main(["classify", "--state-file", str(state), *flags]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (CLASSIFY_GOLDEN / f"{name}.{suffix}").read_bytes()
+
+
 def test_region_cat1_triangle_csv(tmp_path):
     out = tmp_path / "cat1.csv"
     svg = tmp_path / "cat1.svg"

@@ -161,6 +161,40 @@ def test_round_robin_oracle_matches_cyclic_bit_for_bit(ps):
         assert _bits(ppt.pt_min_eigenvalues_batch(ps)[:, k]) == _bits(ref)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 16))
+def test_round_robin_oracle_matches_cyclic_on_x_shaped_stacks(seed, n):
+    # Random X-shaped Hermitian matrices, beyond the GHZ-diagonal ones: each
+    # pair (i, 7 - i) has a complex entry, a zero entry, or an entry on tied
+    # diagonals (the 45-degree rotation), so a round rotates some matrices
+    # of the stack and not others.
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, 8, 8), dtype=complex)
+    a[:, range(8), range(8)] = rng.standard_normal((n, 8)) * rng.choice([1e-3, 1.0, 30.0], (n, 1))
+    for i in range(4):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        kind = rng.integers(3, size=n)
+        z[kind == 0] = 0.0
+        a[kind == 1, 7 - i, 7 - i] = a[kind == 1, i, i]
+        a[:, i, 7 - i], a[:, 7 - i, i] = z, np.conj(z)
+    assert _bits(ppt._jacobi_batch(a)) == _bits(_cyclic_jacobi_reference(a))
+
+
+def test_partial_transpose_table_is_the_density_route_bit_for_bit():
+    rng = np.random.default_rng(11)
+    ps = np.vstack([fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values() for _ in range(5)]
+                   + [random_probs(rng, 40), np.eye(8), np.full((1, 8), 0.125)])
+    for batch in (ps, ps[:1], ps[:0]):
+        rhos = pauli.densities_from_p_batch(batch)
+        pts = np.stack([ppt.partial_transpose(rhos, q) for q in (1, 2, 3)], axis=1)
+        table = np.tensordot(batch, ppt._PT_PROJECTORS, axes=(1, 0))
+        assert table.shape == pts.shape == (len(batch), 3, 8, 8)
+        assert _bits(table.view(float)) == _bits(pts.view(float))
+        ref = ppt._jacobi_batch(pts.reshape(-1, 8, 8))[:, 0].reshape(-1, 3)
+        assert _bits(ppt.pt_min_eigenvalues_batch(batch)) == _bits(ref)
+    assert not ppt._PT_PROJECTORS.flags.writeable
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 def test_round_robin_schedule_visits_every_pair_once(d):
     rounds = [list(zip(p.tolist(), q.tolist())) for p, q in ppt._round_robin(d)]
