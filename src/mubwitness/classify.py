@@ -21,7 +21,7 @@ import numpy as np
 
 from .pauli import (GHZ_PROJECTORS, RESOLUTION, SIGNS, as_probs, check_simplex, check_tol,
                     densities_from_p_batch, r_from_p, signed_sums)
-from .ppt import PptReport, is_ppt, ppt_inequalities_batch
+from .ppt import PptReport, SpecialFamilyParams, is_ppt, ppt_inequalities_batch, special_family
 from .witness import NonlinearFamilyId, all_family_ids, nonlinear_values_batch
 
 VERDICT_NPT = "NPT"
@@ -82,12 +82,6 @@ def category_of(p) -> list[CategoryHit]:
             hits.append(CategoryHit(cat, s, i, (j, k), t, float(residual)))
     hits.sort(key=lambda h: (h.category, h.z_index, -h.lhs_sign))
     return hits
-
-
-def _require_ppt_cheap(p, tol: float) -> None:
-    vals = ppt_inequalities_batch(np.asarray(p, dtype=float)[None, :])
-    if vals.min() < -tol:
-        raise ValueError("state is not PPT")
 
 
 def detect_bound(p, tol: float = 1e-9):
@@ -373,7 +367,8 @@ def certify_separable(p, tol: float = 1e-9):
     """
     check_tol(tol)
     arr = as_probs(p)
-    _require_ppt_cheap(arr, tol)
+    if ppt_inequalities_batch(arr[None, :]).min() < -tol:
+        raise ValueError("state is not PPT")
     family = next((k for k, hit in enumerate(_match_patterns(*arr.tolist())) if hit), None)
     if family is None:
         return None
@@ -451,10 +446,15 @@ def _detect_rows(ps: np.ndarray, ineq_min: np.ndarray, tol: float):
     ineq_min holds each row's smallest of the 24 inequality values, shape
     (n,); the caller evaluates them once and keeps only this minimum.
     Returns (ppt_mask, cols, values, detected): each row's most negative
-    envelope column and its value, and the PPT rows it detects.
+    envelope column and its value, and the PPT rows it detects.  With no
+    PPT row the envelope table is not built: cols are 0 and values NaN,
+    and no caller reads them.
     """
     check_tol(tol)
     ppt_mask = ineq_min >= -tol
+    if not ppt_mask.any():
+        n = len(ppt_mask)
+        return ppt_mask, np.zeros(n, dtype=np.intp), np.full(n, np.nan), np.zeros(n, dtype=bool)
     table = nonlinear_values_batch(signed_sums(ps, SIGNS))
     cols = np.argmin(table, axis=1)
     values = table[np.arange(len(cols)), cols]
@@ -571,8 +571,6 @@ def random_cat2_branch(rng: np.random.Generator) -> np.ndarray:
 
 def random_cat3_branch(rng: np.random.Generator) -> np.ndarray:
     """Special boundary family with split5 = split7 (so r5 = r6)."""
-    from .ppt import SpecialFamilyParams, special_family
-
     alpha = rng.uniform(-1.0, 0.5)
     p4 = rng.uniform(0.0, 1.0 / (4.0 * (1.0 - alpha)))
     s = (alpha - 1.0) * p4 + 0.25

@@ -56,6 +56,12 @@ def _csv_text(s: str) -> str:
     return s
 
 
+def _error(message: object) -> int:
+    """Report a bad input or an unusable file on one stderr line; returns exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -104,8 +110,7 @@ def cmd_classify(args) -> int:
     try:
         p = _parse_state(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     verdict = classify_state(p, tol=args.tol)
     record = {
         "verdict": verdict.kind,
@@ -134,11 +139,10 @@ def cmd_classify(args) -> int:
     print(f"ppt: {'pass' if verdict.ppt.passed else 'fail'}  "
           f"min inequality = {_fmt(verdict.ppt.min_value)}  "
           f"min eigenvalues = ({', '.join(_fmt(e) for e in verdict.ppt.min_eigs)})")
-    group_names = ("(p3,p4,p5,p6)", "(p1,p2,p7,p8)", "(p1,p2,p5,p6)",
-                   "(p3,p4,p7,p8)", "(p1,p2,p3,p4)", "(p5,p6,p7,p8)")
     print("inequality values:")
-    for name, row in zip(group_names, verdict.ppt.quadruples):
-        print(f"  {name}: " + "  ".join(_fmt(v) for v in row))
+    for group, row in zip(ppt.PPT_GROUPS, verdict.ppt.quadruples):
+        name = ",".join(f"p{k + 1}" for k in group)
+        print(f"  ({name}): " + "  ".join(_fmt(v) for v in row))
     if verdict.detection:
         print(f"witness: {verdict.detection[0].label}  value = {_fmt(verdict.detection[1])}")
     else:
@@ -236,13 +240,11 @@ def run_sample(n: int, seed: int, tol: float = 1e-9, csv_path: str | None = None
 
 def cmd_sample(args) -> int:
     if args.n < 1:
-        print("error: --n must be at least 1", file=sys.stderr)
-        return 2
+        return _error("--n must be at least 1")
     try:
         report = run_sample(args.n, args.seed, tol=args.tol, csv_path=args.out)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     for line in report.lines():
         print(line)
     print("note: flat-Dirichlet sampling measure; detection fraction is"
@@ -353,39 +355,41 @@ def write_region_svg(path: str, columns, grid: int) -> None:
 
 def cmd_region(args) -> int:
     if args.grid < 2:
-        print("error: --grid must be at least 2", file=sys.stderr)
-        return 2
+        return _error("--grid must be at least 2")
     if args.samples < 0:
-        print("error: --samples must be at least 0", file=sys.stderr)
-        return 2
-    if args.plane == "cat1-triangle":
-        columns = region_cat1_triangle(args.grid, tol=args.tol)
+        return _error("--samples must be at least 0")
+    triangle = args.plane == "cat1-triangle"
+    if triangle and args.samples:
+        return _error("--samples applies to the coordinate planes, not cat1-triangle")
+    try:
+        columns = (region_cat1_triangle(args.grid, tol=args.tol) if triangle else
+                   _region_plane(_PLANES[args.plane], args.grid, args.samples, args.seed, args.tol))
+    except MemoryError as exc:  # numpy refuses a grid whose arrays cannot fit at once
+        return _error(f"--grid {args.grid} is too large: {exc}")
+    cells = _cells(columns, args.grid)
+    if triangle:
         header = "i,j,p1,p2,status,witness,value\n"
         rows = [f"{i},{j},{x},{y},{s},{_csv_text(w)},{_fmt(v)}\n" if s == VERDICT_BOUND
                 else f"{i},{j},{x},{y},{s},,\n"
-                for (i, j, x, y), s, w, v in zip(_cells(columns, args.grid), columns["status"],
+                for (i, j, x, y), s, w, v in zip(cells, columns["status"],
                                                  columns["witness"], columns["value"].tolist())]
+    elif args.samples:
+        header = "i,j,x,y,feasible,n_npt,n_bound,n_separable,n_undecided\n"
+        rows = [f"{i},{j},{x},{y},1,{t[0]},{t[1]},{t[2]},{t[3]}\n" if f
+                else f"{i},{j},{x},{y},0,,,,\n"
+                for (i, j, x, y), f, t in zip(cells, columns["feasible"].tolist(),
+                                              columns["tally"].tolist())]
     else:
-        columns = _region_plane(_PLANES[args.plane], args.grid,
-                                args.samples, args.seed, args.tol)
-        cells = _cells(columns, args.grid)
-        feasible = columns["feasible"].tolist()
-        if args.samples:
-            header = "i,j,x,y,feasible,n_npt,n_bound,n_separable,n_undecided\n"
-            rows = [f"{i},{j},{x},{y},1,{t[0]},{t[1]},{t[2]},{t[3]}\n" if f
-                    else f"{i},{j},{x},{y},0,,,,\n"
-                    for (i, j, x, y), f, t in zip(cells, feasible, columns["tally"].tolist())]
-        else:
-            header = "i,j,x,y,feasible\n"
-            rows = [f"{i},{j},{x},{y},{f}\n" for (i, j, x, y), f in zip(cells, feasible)]
+        header = "i,j,x,y,feasible\n"
+        rows = [f"{i},{j},{x},{y},{f}\n"
+                for (i, j, x, y), f in zip(cells, columns["feasible"].tolist())]
     try:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(header + "".join(rows))
         if args.svg:
             write_region_svg(args.svg, columns, args.grid)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -395,7 +399,7 @@ def cmd_region(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def suite_oracle(n: int = 20000, seed: int = 0, inject_bug: bool = False):
+def suite_oracle(n: int, seed: int, inject_bug: bool):
     """Inequality verdicts against the rotation-eigenvalue oracle."""
     rng = np.random.default_rng(seed)
     ps = sample_simplex(rng, n)
@@ -426,7 +430,7 @@ def _envelope_gap(rs: np.ndarray, psis: np.ndarray) -> float:
     return float(np.max(np.abs(grid_min - witness.nonlinear_values_batch(rs))))
 
 
-def suite_envelope(seed: int = 1):
+def suite_envelope(seed: int):
     """Sampled-psi minimum of the linear family against the closed form."""
     n_states, n_psi = 100, 10000
     rng = np.random.default_rng(seed)
@@ -435,7 +439,7 @@ def suite_envelope(seed: int = 1):
     return worst <= 1e-6, f"states={n_states} ids=36 psi_grid={n_psi} max_gap={worst:.3e}"
 
 
-def suite_identities(seed: int = 2):
+def suite_identities(seed: int):
     """Pair-sum identities, character-table orthogonality, state equivalence."""
     n = 10000
     rng = np.random.default_rng(seed)
@@ -494,7 +498,7 @@ def suite_region(grid: int = 8):
 
     Every ordered plane's `ppt.projection_polygon` must equal
     `ppt._lp_projection_polygon` vertex for vertex, and on the six CLI
-    planes the cells read off the table must equal the per-cell exact LPs.
+    planes the cells read off the table must equal `ppt._lp_cells`.
     """
     ordered = [(a, b) for a in range(8) for b in range(8) if a != b]
     table_mismatched = [f"p{a + 1}p{b + 1}" for a, b in ordered
@@ -504,7 +508,7 @@ def suite_region(grid: int = 8):
     for name, plane in _PLANES.items():
         fast = ppt.project_region(plane, grid)
         cells += len(fast)
-        if fast != ppt.project_region(plane, grid, exhaustive=True):
+        if fast != ppt._lp_cells(plane, grid):
             mismatched.append(name)
     return not (mismatched or table_mismatched), (
         f"planes={len(_PLANES)} grid={grid} feasible_cells={cells} "
@@ -531,32 +535,24 @@ def suite_mub():
     return ok, f"unbiased_pairs=36-{pair_fail} row6_ghz={ghz_match} row6->row4={row4}"
 
 
+# Each suite as a function of the parsed `verify` arguments, in the order `all` runs them.
 _SUITES = {
-    "oracle": suite_oracle,
-    "envelope": suite_envelope,
-    "identities": suite_identities,
-    "witnesses": suite_witnesses,
-    "mub": suite_mub,
-    "region": suite_region,
+    "oracle": lambda args: suite_oracle(n=args.n, seed=args.seed,
+                                        inject_bug=args.inject_bug == "oracle"),
+    "envelope": lambda args: suite_envelope(seed=args.seed),
+    "identities": lambda args: suite_identities(seed=args.seed),
+    "witnesses": lambda args: suite_witnesses(),
+    "mub": lambda args: suite_mub(),
+    "region": lambda args: suite_region(),
 }
 
 
 def cmd_verify(args) -> int:
     if args.n < 1:
-        print("error: --n must be at least 1", file=sys.stderr)
-        return 2
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+        return _error("--n must be at least 1")
     failures = 0
-    for name in names:
-        if name == "oracle":
-            ok, detail = suite_oracle(n=args.n, seed=args.seed,
-                                      inject_bug=(args.inject_bug == "oracle"))
-        elif name == "envelope":
-            ok, detail = suite_envelope(seed=args.seed)
-        elif name == "identities":
-            ok, detail = suite_identities(seed=args.seed)
-        else:
-            ok, detail = _SUITES[name]()
+    for name in list(_SUITES) if args.suite == "all" else [args.suite]:
+        ok, detail = _SUITES[name](args)
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
     return 1 if failures else 0

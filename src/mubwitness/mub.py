@@ -122,30 +122,26 @@ _PERM_ALIASES = {
 def transform_row(
     row: MubRow,
     locals_: tuple[LocalUnitary | None, LocalUnitary | None, LocalUnitary | None] = (None, None, None),
-    perm=None,
+    perm: str | None = None,
 ) -> list[tuple[int, str]]:
     """Conjugate a row's observables by qubit-local unitaries and/or relabel.
 
-    `perm` is a label map (or per-qubit triple of maps, or an alias name
-    from _PERM_ALIASES).  Returns [(sign, pauli_string)] since conjugation
-    maps a Pauli string onto +- another Pauli string.
+    `perm` names a Pauli-label relabeling applied to every qubit, one of
+    the _PERM_ALIASES keys ("z->x", "z->y"), or is None for no relabeling;
+    any other name raises ValueError.  Returns [(sign, pauli_string)]
+    since conjugation maps a Pauli string onto +- another Pauli string.
     """
-    if isinstance(perm, str):
-        perm = _PERM_ALIASES[perm]
-    if isinstance(perm, dict) or perm is None:
-        perms = (perm, perm, perm)
-    else:
-        perms = tuple(perm)
+    if perm not in (None, *_PERM_ALIASES):
+        raise ValueError(f"unknown label permutation {perm!r}; "
+                         f"expected one of {', '.join(_PERM_ALIASES)} or None")
+    relabel = _PERM_ALIASES.get(perm)
+    us = [lu.u if lu is not None else np.eye(2) for lu in locals_]
+    full = np.kron(np.kron(us[0], us[1]), us[2])
     out = []
     for obs in row.observables:
-        labels = [perms[q][obs[q]] if perms[q] else obs[q] for q in range(3)]
-        string = "".join(labels)
-        mat = pauli_matrix(string)
-        us = [lu.u if lu is not None else np.eye(2) for lu in locals_]
-        full = np.kron(np.kron(us[0], us[1]), us[2])
-        conj = full @ mat @ full.conj().T
-        sign, found = _match_pauli(conj)
-        out.append((sign, found))
+        string = "".join(relabel[c] for c in obs) if relabel else obs
+        conj = full @ pauli_matrix(string) @ full.conj().T
+        out.append(_match_pauli(conj))
     return out
 
 

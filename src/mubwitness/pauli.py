@@ -202,8 +202,7 @@ def p_from_r(r) -> np.ndarray:
 
 def density_from_p(p) -> np.ndarray:
     """Density matrix sum_i p_i |psi_i><psi_i| in the computational basis."""
-    arr = as_probs(p)
-    return np.tensordot(arr, GHZ_PROJECTORS, axes=(0, 0))
+    return densities_from_p_batch(as_probs(p)[None, :])[0]
 
 
 def density_from_r(r) -> np.ndarray:

@@ -450,24 +450,19 @@ class _Simplex:
         return [x[2 * k] - x[2 * k + 1] for k in range(self.n_vars)]
 
 
-def _lp_phase1(constraints, n_vars: int, nonneg: bool):
-    """Exact phase-1 simplex.  Returns a Fraction solution list or None."""
-    lp = _Simplex(constraints, n_vars, nonneg)
-    return lp.point() if lp.phase1() else None
-
-
 def lp_feasible(constraints, n_vars: int, nonneg: bool = False) -> bool:
     """True iff the affine system has a solution (exact rational pivoting).
 
     Constraints are (coefficients, relation, rhs) triples with relation one
     of "<=", ">=", "==".  Variables are free reals unless nonneg is set.
     """
-    return _lp_phase1(constraints, n_vars, nonneg) is not None
+    return lp_feasible_point(constraints, n_vars, nonneg) is not None
 
 
 def lp_feasible_point(constraints, n_vars: int, nonneg: bool = False):
-    """A feasible point as a list of Fractions, or None if infeasible."""
-    return _lp_phase1(constraints, n_vars, nonneg)
+    """A feasible point as a list of Fractions, or None if infeasible (exact phase 1)."""
+    lp = _Simplex(constraints, n_vars, nonneg)
+    return lp.point() if lp.phase1() else None
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +492,6 @@ def _projection_constraints(plane: tuple[int, int], x: Fraction, y: Fraction):
         cons.append((coeffs, ">=", -const))
     cons.append(([Fraction(1)] * len(free), "==", Fraction(1) - x - y))
     return cons, free
-
-
-def _cell_feasible(plane, grid, i, j) -> bool:
-    x, y = Fraction(i, grid), Fraction(j, grid)
-    if x + y > 1:
-        return False
-    cons, free = _projection_constraints(plane, x, y)
-    return lp_feasible(cons, len(free), nonneg=True)
 
 
 def _edge_inequality(u, v) -> tuple[int, int, int]:
@@ -588,6 +575,23 @@ def _lp_projection_polygon(plane: tuple[int, int]) -> list[tuple[Fraction, Fract
     return hull[k:] + hull[:k]
 
 
+def _lp_cells(plane: tuple[int, int], grid: int) -> set[tuple[int, int]]:
+    """The cells of `project_region` by one exact LP per cell: the cross-check of the mask.
+
+    Cell (i, j) is feasible when the PPT and simplex constraints on the six
+    other probabilities hold at (p_a, p_b) = (i/grid, j/grid).  No scan runs
+    it: `mubw verify --suite region` and the tests compare it with the mask.
+    """
+    _check_plane(plane)
+    cells = set()
+    for j in range(grid):
+        for i in range(min(grid, grid - j + 1)):  # the corners with i + j <= grid
+            cons, free = _projection_constraints(plane, Fraction(i, grid), Fraction(j, grid))
+            if lp_feasible(cons, len(free), nonneg=True):
+                cells.add((i, j))
+    return cells
+
+
 def region_mask(plane: tuple[int, int], grid: int) -> np.ndarray:
     """Feasible grid cells as a (grid, grid) boolean array indexed [j, i].
 
@@ -608,20 +612,14 @@ def region_mask(plane: tuple[int, int], grid: int) -> np.ndarray:
     return mask
 
 
-def project_region(plane: tuple[int, int], grid: int, exhaustive: bool = False):
+def project_region(plane: tuple[int, int], grid: int):
     """Feasible grid cells of the PPT region projected onto two coordinates.
 
     A cell (i, j), 0 <= i, j < grid, is feasible when its lower-left corner
-    (i/grid, j/grid) lies in the projection.  The default method reads the
-    set off `region_mask`, so the classification is exact.  `exhaustive`
-    instead solves one exact LP per cell, as an independent oracle.
+    (i/grid, j/grid) lies in the projection.  The set is read off
+    `region_mask`, so the classification is exact; `_lp_cells` is the
+    per-cell LP oracle it is checked against.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    _check_plane(plane)
-    if exhaustive:
-        return {(i, j) for j in range(grid) for i in range(grid)
-                if _cell_feasible(plane, grid, i, j)}
     j, i = np.nonzero(region_mask(plane, grid))
     return set(zip(i.tolist(), j.tolist()))
 

@@ -76,26 +76,17 @@ class NonlinearFamilyId:
 
 
 @dataclass(frozen=True)
-class WitnessSpec:
-    """One member of the linear witness family: an id plus the angle psi."""
+class WitnessSpec(NonlinearFamilyId):
+    """One member of the linear witness family: an id plus the angle psi.
 
-    outer_sign: int
-    z_index: int
-    inner_sign: int
-    partition: tuple[tuple[int, int], tuple[int, int]]
+    The id fields, and their checks, are inherited from NonlinearFamilyId.
+    """
+
     psi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "partition", _check_partition(self.partition))
-
-    @property
-    def family_id(self) -> NonlinearFamilyId:
-        return NonlinearFamilyId(self.outer_sign, self.z_index,
-                                 self.inner_sign, self.partition)
 
     @property
     def label(self) -> str:
-        return f"{self.family_id.label}@psi={self.psi:.6g}"
+        return f"{super().label}@psi={self.psi:.6g}"
 
 
 @lru_cache(maxsize=1)
@@ -141,7 +132,7 @@ def _pair_sums(id_: NonlinearFamilyId, r: np.ndarray) -> tuple[float, float]:
 def expectation(w: WitnessSpec, p) -> float:
     """Closed-form Tr[W rho(p)]: 1 +- r_i + a cos(psi) + b sin(psi)."""
     r = r_from_p(p)
-    a, b = _pair_sums(w.family_id, r)
+    a, b = _pair_sums(w, r)
     return float(
         1.0 + w.outer_sign * r[w.z_index - 1]
         + a * math.cos(w.psi) + b * math.sin(w.psi)
@@ -202,9 +193,6 @@ class ProductState:
     """Bloch angles (theta1, phi1, theta2, phi2, theta3, phi3)."""
 
     angles: tuple[float, float, float, float, float, float]
-
-    def vector(self) -> np.ndarray:
-        return product_state_vector(self.angles)
 
 
 def _qubit_state(theta: float, phi: float) -> np.ndarray:

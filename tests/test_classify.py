@@ -549,6 +549,20 @@ def test_pattern_match_skipped_on_all_npt_batch(monkeypatch):
     assert classify(ps[0]).kind == VERDICT_NPT
 
 
+def test_no_envelope_table_without_a_ppt_row(monkeypatch):
+    module = importlib.import_module("mubwitness.classify")
+    calls = []
+    real = module.nonlinear_values_batch
+    monkeypatch.setattr(module, "nonlinear_values_batch",
+                        lambda rs: calls.append(len(rs)) or real(rs))
+    npt = np.array([0.6, 0.2, 0.1, 0.1, 0, 0, 0, 0])
+    assert classify(npt).kind == VERDICT_NPT
+    verdicts, labels, values = classify_batch(np.stack([npt, npt[::-1]]))
+    assert set(verdicts) == {VERDICT_NPT} and set(labels) == {""} and np.isnan(values).all()
+    assert calls == []
+    assert classify(PROTOTYPE).kind == VERDICT_BOUND and calls == [1]
+
+
 def test_classify_validates_once_outside_the_certificates(monkeypatch):
     real = pauli.as_probs
     calls = []

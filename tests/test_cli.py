@@ -439,6 +439,27 @@ def test_region_negative_samples_exit_2(tmp_path):
     assert res.stderr.strip() == "error: --samples must be at least 0"
 
 
+@pytest.mark.parametrize("plane", ["p1p2", "cat1-triangle"])
+def test_region_grid_too_large_for_memory_exit_2(tmp_path, plane):
+    # 10^16 cells: numpy refuses the first lattice array at once, allocating nothing.
+    res = run_cli(["region", "--plane", plane, "--grid", "100000000",
+                   "--out", str(tmp_path / "x.csv")])
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert lines[0].startswith("error: --grid 100000000 is too large"), res.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_region_samples_on_the_triangle_exit_2(tmp_path):
+    res = run_cli(["region", "--plane", "cat1-triangle", "--grid", "4", "--samples", "3",
+                   "--out", str(tmp_path / "x.csv")])
+    assert res.returncode == 2
+    assert res.stderr.strip() == (
+        "error: --samples applies to the coordinate planes, not cat1-triangle")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_verify_region_suite_catches_wrong_polygon(monkeypatch):
     assert cli.suite_region(grid=4)[0]
     triangle = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]

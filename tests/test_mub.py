@@ -143,6 +143,11 @@ def test_transform_xzy_to_zzz_by_local_unitaries():
             assert np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) < 1e-12
 
 
+def test_transform_row_rejects_an_unknown_permutation():
+    with pytest.raises(ValueError, match="'nope'.*z->x, z->y"):
+        mub.transform_row(mub.mub_table()[5], perm="nope")
+
+
 def test_transform_identity_is_noop():
     rows = mub.mub_table()
     out = mub.transform_row(rows[5])

@@ -474,15 +474,14 @@ CLI_PLANES = ((0, 1), (0, 2), (2, 3), (1, 3), (4, 5), (6, 7))
 def test_project_region_interval_equals_exhaustive():
     for plane in CLI_PLANES:
         fast = ppt.project_region(plane, 16)
-        slow = ppt.project_region(plane, 16, exhaustive=True)
+        slow = ppt._lp_cells(plane, 16)
         assert fast == slow, plane
 
 
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(8) for b in range(a + 1, 8)])
 def test_polygon_cells_equal_exhaustive_all_pairs(a, b):
     for plane, grid in (((a, b), 4), ((b, a), 6)):
-        assert ppt.project_region(plane, grid) == ppt.project_region(
-            plane, grid, exhaustive=True), (plane, grid)
+        assert ppt.project_region(plane, grid) == ppt._lp_cells(plane, grid), (plane, grid)
         v = ppt.projection_polygon(plane)
         assert _strict_ccw(v), (plane, v)
 

@@ -85,6 +85,23 @@ def test_bad_specs_rejected():
         witness.NonlinearFamilyId(1, 1, 1, ((4, 4), (6, 7)))
 
 
+@pytest.mark.parametrize("outer, z, partition", [
+    (2, 1, ((4, 5), (6, 7))),
+    (1, 9, ((4, 5), (6, 7))),
+    (1, 1, ((4, 4), (6, 7))),
+])
+def test_witness_spec_checks_its_id_fields(outer, z, partition):
+    with pytest.raises(ValueError):
+        witness.WitnessSpec(outer, z, 1, partition, 0.3)
+
+
+def test_witness_spec_is_its_id_plus_psi():
+    spec = witness.WitnessSpec(-1, 3, -1, ((7, 4), (6, 5)), 0.25)
+    assert isinstance(spec, witness.NonlinearFamilyId)
+    assert spec.partition == ((4, 7), (5, 6))
+    assert spec.label == "W-3,-(4,7),(5,6)@psi=0.25"
+
+
 # --- expectations -----------------------------------------------------------
 
 
