@@ -23,7 +23,6 @@ from .ppt import (
     PptReport,
     SpecialFamilyParams,
     is_ppt,
-    lp_feasible,
     min_eigenvalue,
     partial_transpose,
     ppt_inequalities,

@@ -493,13 +493,14 @@ def suite_witnesses():
                            " (min product >= -1e-6, negative eigenvalue)")
 
 
-def suite_region(grid: int = 8):
+def suite_region():
     """The shadow table against its LP derivation, and region cells against the cell oracle.
 
     Every ordered plane's `ppt.projection_polygon` must equal
     `ppt._lp_projection_polygon` vertex for vertex, and on the six CLI
-    planes the cells read off the table must equal `ppt._lp_cells`.
+    planes the cells read off the table at grid 8 must equal `ppt._lp_cells`.
     """
+    grid = 8
     ordered = [(a, b) for a in range(8) for b in range(8) if a != b]
     table_mismatched = [f"p{a + 1}p{b + 1}" for a, b in ordered
                         if ppt.projection_polygon((a, b)) != ppt._lp_projection_polygon((a, b))]

@@ -56,10 +56,14 @@ GHZ_PAIRS = ((0, 7), (1, 6), (2, 5), (3, 4))
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
-def pauli_matrix(labels: str) -> np.ndarray:
-    """Kronecker product of three single-qubit Paulis, leftmost = qubit 1."""
+def _check_pauli_string(labels: str) -> None:
     if len(labels) != 3 or any(c not in PAULI_LABELS for c in labels):
         raise ValueError(f"invalid Pauli string {labels!r}")
+
+
+def pauli_matrix(labels: str) -> np.ndarray:
+    """Kronecker product of three single-qubit Paulis, leftmost = qubit 1."""
+    _check_pauli_string(labels)
     m = PAULI_1Q[labels[0]]
     for c in labels[1:]:
         m = np.kron(m, PAULI_1Q[c])
@@ -68,6 +72,8 @@ def pauli_matrix(labels: str) -> np.ndarray:
 
 def pauli_product(a: str, b: str) -> tuple[complex, str]:
     """Label-wise product a*b, returned as (phase, string) with phase in {+-1, +-i}."""
+    _check_pauli_string(a)
+    _check_pauli_string(b)
     table = {
         ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
         ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),

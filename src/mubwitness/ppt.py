@@ -18,10 +18,12 @@ transposed GHZ projectors.
 
 The polytope's shadow on a coordinate plane (p_a, p_b) is one of two
 fixed rational polygons, read from a table by whether a and b index the
-same GHZ pair.  An exact integer simplex derives the same polygons by
-support-function hull refinement, and one exact LP per grid cell gives an
-independent oracle for the region cells; both are cross-checks, run by
-`mubw verify --suite region` and the tests, never by a region scan.
+same GHZ pair.  A private exact simplex over nonnegative variables solves
+one system, _PPT_SYSTEM (the 24 inequalities and sum p = 1 over the eight
+probabilities), for two cross-checks: support-function hull refinement
+derives the polygons, and one phase 1 per grid cell, with p_a and p_b
+pinned, gives the region cells.  `mubw verify --suite region` and the
+tests run them; a region scan never does.
 """
 
 from __future__ import annotations
@@ -262,78 +264,18 @@ def is_ppt(p, tol: float = 1e-9) -> PptReport:
 # Exact linear programming (two-phase simplex, integer pivoting)
 # ---------------------------------------------------------------------------
 
-_RELS = ("<=", ">=", "==")
+# The PPT polytope {p >= 0, A p >= 0, sum p = 1} over p_1..p_8, the one
+# system both cross-checks solve; p >= 0 is the bound every _Simplex
+# variable has.  A p >= 0 is written -A p <= 0, so every slack starts basic
+# at level 0 and phase 1 only removes the equalities' artificials.
+_PPT_SYSTEM = tuple(((-row).tolist(), "<=", 0) for row in _INEQ_MATRIX) + (([1] * 8, "==", 1),)
 
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    return Fraction(float(x))  # exact binary expansion of the float
-
-
-def _scaled_rows(constraints, n_vars: int, nonneg: bool):
-    """Normalize constraints to integer rows (coeffs, rel, rhs).
-
-    Free variables are split x = u - v with u, v >= 0 unless nonneg is set.
-    """
-    rows = []
-    for coeffs, rel, rhs in constraints:
-        if rel not in _RELS:
-            raise ValueError(f"unknown relation {rel!r}")
-        cf = [_to_fraction(c) for c in coeffs]
-        if len(cf) != n_vars:
-            raise ValueError("constraint arity mismatch")
-        b = _to_fraction(rhs)
-        if not nonneg:
-            cf = [v for c in cf for v in (c, -c)]
-        denom = math.lcm(b.denominator, *(f.denominator for f in cf))
-        ints = [f.numerator * (denom // f.denominator) for f in cf]
-        rows.append((ints, rel, b.numerator * (denom // b.denominator)))
-    return rows
-
-
-def _phase1_tableau(rows, n_struct: int):
-    """Build the integer phase-1 tableau; returns (tableau, basis, art_cols)."""
-    m = len(rows)
-    slack_rows = []
-    # Normalize every row to rhs >= 0 first.
-    normed = []
-    for coeffs, rel, b in rows:
-        if b < 0:
-            coeffs = [-c for c in coeffs]
-            b = -b
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        normed.append((coeffs, rel, b))
-        slack_rows.append(rel)
-    n_slack = sum(1 for r in slack_rows if r in ("<=", ">="))
-    cols = n_struct + n_slack + m + 1  # structural, slacks, artificials, rhs
-    tab = [[0] * cols for _ in range(m)]
-    basis = [-1] * m
-    art_cols = []
-    si = 0
-    for i, (coeffs, rel, b) in enumerate(normed):
-        for j, c in enumerate(coeffs):
-            tab[i][j] = c
-        if rel == "<=":
-            tab[i][n_struct + si] = 1
-            basis[i] = n_struct + si
-            si += 1
-        elif rel == ">=":
-            tab[i][n_struct + si] = -1
-            si += 1
-        if basis[i] < 0:
-            col = n_struct + n_slack + i
-            tab[i][col] = 1
-            basis[i] = col
-            art_cols.append(col)
-        tab[i][-1] = b
-    return tab, basis, art_cols
+# The relation of a row after both sides are negated.
+_FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
 class _Simplex:
-    """Exact two-phase simplex on one integer tableau (fraction-free pivots).
+    """Exact two-phase simplex over nonnegative variables (fraction-free pivots).
 
     Row i holds den * B^-1 [A | b] for the current basis B, so every entry
     stays an exact integer (Bareiss), the basic column of row i is den * e_i
@@ -346,13 +288,42 @@ class _Simplex:
     basis the previous call left optimal.
     """
 
-    def __init__(self, constraints, n_vars: int, nonneg: bool):
-        self.n_vars, self.nonneg = n_vars, nonneg
-        self.n_struct = n_vars if nonneg else 2 * n_vars
-        rows = _scaled_rows(constraints, n_vars, nonneg)
-        self.tab, self.basis, self.art_cols = _phase1_tableau(rows, self.n_struct)
-        self.n_cols = len(self.tab[0]) if self.tab else self.n_struct + 1
-        self.den = 1
+    def __init__(self, constraints, n_vars: int):
+        """The phase-1 tableau of (coefficients, relation, rhs) rows, rhs made >= 0.
+
+        Each row is scaled to integers, and negated if its rhs is negative.
+        Columns: the variables, one slack per inequality, one artificial per
+        row, the rhs.  A "<=" row starts on its slack, any other on its
+        artificial.
+        """
+        rows = []
+        for coeffs, rel, rhs in constraints:
+            if rel not in _FLIP:
+                raise ValueError(f"unknown relation {rel!r}")
+            cf = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
+            if len(cf) != n_vars + 1:
+                raise ValueError("constraint arity mismatch")
+            scale = math.lcm(*(f.denominator for f in cf))
+            if cf[-1] < 0:
+                scale, rel = -scale, _FLIP[rel]
+            rows.append(([int(f * scale) for f in cf], rel))
+        n_slack = sum(rel != "==" for _, rel in rows)
+        self.n_struct, self.n_cols, self.den = n_vars, n_vars + n_slack + len(rows) + 1, 1
+        self.tab, self.basis, self.art_cols = [], [], []
+        slack = n_vars
+        for i, (ints, rel) in enumerate(rows):
+            row = ints[:-1] + [0] * (self.n_cols - n_vars - 1) + ints[-1:]
+            if rel != "==":
+                row[slack] = 1 if rel == "<=" else -1
+                slack += 1
+            if rel == "<=":
+                self.basis.append(slack - 1)
+            else:
+                art = n_vars + n_slack + i
+                row[art] = 1
+                self.basis.append(art)
+                self.art_cols.append(art)
+            self.tab.append(row)
 
     def _pivot(self, leave: int, enter: int, objectives) -> None:
         row_l = self.tab[leave]
@@ -428,8 +399,6 @@ class _Simplex:
         `drop_artificials`); the optimal basis is kept for the next call.
         """
         cost = [operator.index(v) for v in c]
-        if not self.nonneg:
-            cost = [v for k in cost for v in (k, -k)]
         cost += [0] * (self.n_cols - len(cost))  # slacks and the rhs column
         obj = [self.den * v for v in cost]  # f = -c . x, in the den-scaled form
         for row, col in zip(self.tab, self.basis):
@@ -440,29 +409,12 @@ class _Simplex:
         return Fraction(-obj[-1], self.den)
 
     def point(self) -> list[Fraction]:
-        """The current basic solution in the caller's variables."""
+        """The current basic solution: nonbasic variables are 0."""
         x = [Fraction(0)] * self.n_struct
         for row, col in zip(self.tab, self.basis):
             if col < self.n_struct:
                 x[col] = Fraction(row[-1], self.den)
-        if self.nonneg:
-            return x
-        return [x[2 * k] - x[2 * k + 1] for k in range(self.n_vars)]
-
-
-def lp_feasible(constraints, n_vars: int, nonneg: bool = False) -> bool:
-    """True iff the affine system has a solution (exact rational pivoting).
-
-    Constraints are (coefficients, relation, rhs) triples with relation one
-    of "<=", ">=", "==".  Variables are free reals unless nonneg is set.
-    """
-    return lp_feasible_point(constraints, n_vars, nonneg) is not None
-
-
-def lp_feasible_point(constraints, n_vars: int, nonneg: bool = False):
-    """A feasible point as a list of Fractions, or None if infeasible (exact phase 1)."""
-    lp = _Simplex(constraints, n_vars, nonneg)
-    return lp.point() if lp.phase1() else None
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -475,23 +427,6 @@ def _check_plane(plane) -> tuple[int, int]:
     if not (0 <= a < 8 and 0 <= b < 8 and a != b):
         raise ValueError(f"invalid plane {plane}")
     return a, b
-
-
-def _projection_constraints(plane: tuple[int, int], x: Fraction, y: Fraction):
-    """PPT + simplex constraints over the six free probabilities.
-
-    Variables are the probabilities not in `plane` (0-based), kept in
-    ascending index order and treated as nonnegative.
-    """
-    a, b = plane
-    free = [k for k in range(8) if k not in (a, b)]
-    cons = []
-    for row in _INEQ_MATRIX:
-        coeffs = [Fraction(int(row[k])) for k in free]
-        const = Fraction(int(row[a])) * x + Fraction(int(row[b])) * y
-        cons.append((coeffs, ">=", -const))
-    cons.append(([Fraction(1)] * len(free), "==", Fraction(1) - x - y))
-    return cons, free
 
 
 def _edge_inequality(u, v) -> tuple[int, int, int]:
@@ -541,11 +476,7 @@ def _lp_projection_polygon(plane: tuple[int, int]) -> list[tuple[Fraction, Fract
     8 (triangles) to 10 (quadrilaterals) support queries after phase 1.
     """
     a, b = _check_plane(plane)
-    # A p >= 0 as -A p <= 0: every slack starts basic at level 0, so phase 1
-    # only has the sum row's artificial to remove (2 pivots instead of 55).
-    cons = [((-row).tolist(), "<=", 0) for row in _INEQ_MATRIX]
-    cons.append(([1] * 8, "==", 1))
-    lp = _Simplex(cons, 8, nonneg=True)
+    lp = _Simplex(_PPT_SYSTEM, 8)  # phase 1 removes one artificial: 2 pivots
     if not lp.phase1():
         raise RuntimeError("PPT polytope is empty (cannot happen)")
     lp.drop_artificials()
@@ -578,16 +509,18 @@ def _lp_projection_polygon(plane: tuple[int, int]) -> list[tuple[Fraction, Fract
 def _lp_cells(plane: tuple[int, int], grid: int) -> set[tuple[int, int]]:
     """The cells of `project_region` by one exact LP per cell: the cross-check of the mask.
 
-    Cell (i, j) is feasible when the PPT and simplex constraints on the six
-    other probabilities hold at (p_a, p_b) = (i/grid, j/grid).  No scan runs
-    it: `mubw verify --suite region` and the tests compare it with the mask.
+    Cell (i, j) is feasible when _PPT_SYSTEM over all eight probabilities,
+    plus the rows p_a == i/grid and p_b == j/grid, passes phase 1.  No scan
+    runs it: `mubw verify --suite region` and the tests compare it with the
+    mask.
     """
-    _check_plane(plane)
+    a, b = _check_plane(plane)
     cells = set()
     for j in range(grid):
         for i in range(min(grid, grid - j + 1)):  # the corners with i + j <= grid
-            cons, free = _projection_constraints(plane, Fraction(i, grid), Fraction(j, grid))
-            if lp_feasible(cons, len(free), nonneg=True):
+            pin = tuple(([int(k == c) for k in range(8)], "==", Fraction(v, grid))
+                        for c, v in ((a, i), (b, j)))
+            if _Simplex(_PPT_SYSTEM + pin, 8).phase1():
                 cells.add((i, j))
     return cells
 

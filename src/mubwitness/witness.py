@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import H_MATRIX, as_probs, as_rvec, pauli_matrix, r_from_p
+from .pauli import H_MATRIX, as_probs, as_rvec, is_hermitian, pauli_matrix, r_from_p
 from .ppt import jacobi_eigenvalues
 
 # Observable carrying r_i for i = 1..3 and r_j for j = 4..7.
@@ -77,12 +77,17 @@ class NonlinearFamilyId:
 
 @dataclass(frozen=True)
 class WitnessSpec(NonlinearFamilyId):
-    """One member of the linear witness family: an id plus the angle psi.
+    """One member of the linear witness family: an id plus a finite angle psi.
 
     The id fields, and their checks, are inherited from NonlinearFamilyId.
     """
 
     psi: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not math.isfinite(self.psi):
+            raise ValueError(f"psi must be a finite number, got {self.psi!r}")
 
     @property
     def label(self) -> str:
@@ -215,17 +220,26 @@ def product_state_vector(angles) -> np.ndarray:
 
 
 def _as_matrix(w) -> np.ndarray:
+    """W as a matrix: built from a WitnessSpec, or a raw matrix checked once."""
     if isinstance(w, WitnessSpec):
         return witness_matrix(w)
-    return np.asarray(w, dtype=complex)
+    m = np.asarray(w, dtype=complex)
+    if m.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 witness matrix, got shape {m.shape}")
+    if not (np.isfinite(m).all() and is_hermitian(m)):
+        raise ValueError("witness matrix must be finite and Hermitian within 1e-10")
+    return m
+
+
+def _expectation(m: np.ndarray, angles) -> float:
+    v = product_state_vector(angles)
+    return float(np.real(v.conj() @ m @ v))
 
 
 def product_expectation(w, state) -> float:
     """<nu| W |nu> for a product state (WitnessSpec or raw Hermitian matrix)."""
-    m = _as_matrix(w)
     angles = state.angles if isinstance(state, ProductState) else tuple(state)
-    v = product_state_vector(angles)
-    return float(np.real(v.conj() @ m @ v))
+    return _expectation(_as_matrix(w), angles)
 
 
 def _reduced_qubit_matrix(m6: np.ndarray, qubits: list[np.ndarray], k: int) -> np.ndarray:
@@ -287,7 +301,7 @@ def min_over_products(w) -> tuple[float, ProductState]:
     for start in _start_points(n_starts, grid_points):
         angles = list(start)
         qubits = [_qubit_state(angles[2 * q], angles[2 * q + 1]) for q in range(3)]
-        current = product_expectation(m, angles)
+        current = _expectation(m, angles)
         evals += 1
         while evals < budget:
             previous = current
@@ -319,7 +333,7 @@ def min_over_products(w) -> tuple[float, ProductState]:
             best_val = current
             best_angles = _canonical_angles(angles)
     state = ProductState(best_angles)
-    return product_expectation(m, state), state
+    return _expectation(m, state.angles), state
 
 
 # ---------------------------------------------------------------------------

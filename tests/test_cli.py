@@ -461,27 +461,27 @@ def test_region_samples_on_the_triangle_exit_2(tmp_path):
 
 
 def test_verify_region_suite_catches_wrong_polygon(monkeypatch):
-    assert cli.suite_region(grid=4)[0]
+    assert cli.suite_region()[0]
     triangle = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
     monkeypatch.setattr(ppt, "projection_polygon", lambda plane: triangle)
-    ok, detail = cli.suite_region(grid=4)
+    ok, detail = cli.suite_region()
     assert not ok
     assert "mismatched=p1p2,p3p4,p5p6,p7p8" in detail
 
 
 def test_verify_region_suite_catches_wrong_table(monkeypatch):
-    ok, detail = cli.suite_region(grid=4)
+    ok, detail = cli.suite_region()
     assert ok and "table_planes=56 table_mismatched=none" in detail
     quad, tri = ppt._SHADOWS[True], ppt._SHADOWS[False]
     wrong = ((0, 0), (Fraction(1, 2), 0), (0, Fraction(2, 5)))  # a cross-pair edge off by 1/10
     monkeypatch.setattr(ppt, "_SHADOWS", {True: quad, False: wrong})
-    ok, detail = cli.suite_region(grid=4)
+    ok, detail = cli.suite_region()
     assert not ok
     names = detail.split("table_mismatched=")[1].split(",")
     assert len(names) == 48 and "p1p3" in names and "p3p1" in names and "p1p2" not in names
     assert "mismatched=p1p3,p2p4 " in detail  # the cells of those CLI planes move too
     monkeypatch.setattr(ppt, "_SHADOWS", {True: tri, False: tri})
-    ok, detail = cli.suite_region(grid=4)
+    ok, detail = cli.suite_region()
     assert not ok and detail.endswith(
         "table_mismatched=p1p2,p2p1,p3p4,p4p3,p5p6,p6p5,p7p8,p8p7")
 
@@ -496,8 +496,8 @@ def test_region_scan_runs_no_lp(tmp_path, monkeypatch, plane):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(ppt, "_Simplex", CountingSimplex)
-    ppt.lp_feasible([([1], "==", 1)], 1)
-    assert constructions == [1]  # the wrapper sees the module's own LPs
+    ppt._lp_cells((0, 1), 2)
+    assert constructions == [1] * 4  # the wrapper sees the module's own LPs, one per cell
     constructions.clear()
     out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
     assert cli.main(["region", "--plane", plane, "--grid", "16",

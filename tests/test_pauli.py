@@ -33,6 +33,13 @@ def test_pauli_matrix_rejects_bad_labels():
         pauli.pauli_matrix("XX")
 
 
+def test_pauli_product_rejects_bad_labels():
+    with pytest.raises(ValueError, match="invalid Pauli string 'X'"):
+        pauli.pauli_product("XYZ", "X")  # zip would drop the last two labels
+    with pytest.raises(ValueError, match="invalid Pauli string 'XQ'"):
+        pauli.pauli_product("XQ", "XX")
+
+
 def test_pauli_matrices_hermitian_unitary_traceless():
     rng = np.random.default_rng(0)
     labels = ["IXZ", "YYZ", "ZXY", "XII", "YZX"]

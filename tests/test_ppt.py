@@ -351,23 +351,22 @@ def test_ppt_convexity():
 
 
 def test_lp_trivial_cases():
-    assert ppt.lp_feasible([([1], ">=", 0), ([1], "<=", 1)], 1)
-    assert not ppt.lp_feasible([([1], ">=", 1), ([1], "<=", 0)], 1)
-    assert ppt.lp_feasible([([1, 1], "==", 1), ([1, -1], "==", 0)], 2)
-    assert not ppt.lp_feasible([([1, 1], "==", 1), ([1, 1], "==", 2)], 2)
+    assert ppt._Simplex([([1], ">=", 0), ([1], "<=", 1)], 1).phase1()
+    assert not ppt._Simplex([([1], ">=", 1), ([1], "<=", 0)], 1).phase1()
+    assert ppt._Simplex([([1, 1], "==", 1), ([1, -1], "==", 0)], 2).phase1()
+    assert not ppt._Simplex([([1, 1], "==", 1), ([1, 1], "==", 2)], 2).phase1()
 
 
-def test_lp_free_variables():
-    # Feasible only with a negative coordinate.
-    assert ppt.lp_feasible([([1], "<=", -3)], 1)
-    assert not ppt.lp_feasible([([1], "<=", -3)], 1, nonneg=True)
+def test_lp_variables_are_nonnegative():
+    # Feasible only with a negative coordinate, which no variable may take.
+    assert not ppt._Simplex([([1], "<=", -3)], 1).phase1()
 
 
 def test_lp_point_satisfies_constraints():
     cons = [([2, 1], "<=", 4), ([1, 3], ">=", 3), ([1, -1], "==", Fraction(1, 2))]
-    sol = ppt.lp_feasible_point(cons, 2)
-    assert sol is not None
-    x, y = sol
+    lp = ppt._Simplex(cons, 2)
+    assert lp.phase1()
+    x, y = lp.point()
     assert 2 * x + y <= 4 and x + 3 * y >= 3 and x - y == Fraction(1, 2)
 
 
@@ -382,8 +381,8 @@ def test_lp_matches_scipy_on_random_systems():
         a = rng.integers(-3, 4, size=(m, n))
         b = rng.integers(-3, 4, size=m)
         cons = [(row.tolist(), "<=", int(rhs)) for row, rhs in zip(a, b)]
-        mine = ppt.lp_feasible(cons, n)
-        res = linprog(np.zeros(n), A_ub=a, b_ub=b, bounds=[(None, None)] * n,
+        mine = ppt._Simplex(cons, n).phase1()
+        res = linprog(np.zeros(n), A_ub=a, b_ub=b, bounds=[(0, None)] * n,
                       method="highs")
         # skip scipy borderline numerical cases; exact answers are authoritative
         if res.status in (0, 2):
@@ -400,7 +399,6 @@ def test_lp_maximise_matches_scipy_on_random_systems():
     for _ in range(80):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 6))
-        nonneg = bool(rng.integers(2))
         cons = [(rng.integers(-3, 4, size=n).tolist(), str(rel), int(rng.integers(-3, 4)))
                 for rel in rng.choice(["<=", ">=", "=="], size=m, p=[0.5, 0.25, 0.25])]
         if rng.integers(2):  # a box bounds every objective
@@ -413,8 +411,8 @@ def test_lp_maximise_matches_scipy_on_random_systems():
         eq = [(c, r) for c, rel, r in cons if rel == "=="]
         system = dict(A_ub=[c for c, _ in ub] or None, b_ub=[r for _, r in ub] or None,
                       A_eq=[c for c, _ in eq] or None, b_eq=[r for _, r in eq] or None,
-                      bounds=[(0, None) if nonneg else (None, None)] * n)
-        lp = ppt._Simplex(cons, n, nonneg)
+                      bounds=[(0, None)] * n)
+        lp = ppt._Simplex(cons, n)
         feasible = lp.phase1()
         if feasible:
             lp.drop_artificials()
@@ -426,7 +424,7 @@ def test_lp_maximise_matches_scipy_on_random_systems():
                 statuses["infeasible"] += 1
                 break
             value = lp.maximise(c.tolist())
-            cold = ppt._Simplex(cons, n, nonneg)
+            cold = ppt._Simplex(cons, n)
             assert cold.phase1()
             cold.drop_artificials()
             assert cold.maximise(c.tolist()) == value
@@ -440,29 +438,41 @@ def test_lp_maximise_matches_scipy_on_random_systems():
             for coeffs, rel, rhs in cons:
                 lhs = sum(ci * xi for ci, xi in zip(coeffs, x))
                 assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[rel]
-            assert not nonneg or min(x) >= 0
+            assert min(x) >= 0
             statuses["optimal"] += 1
     assert min(statuses.values()) >= 10, statuses
 
 
 def test_lp_maximise_after_negative_drive_out_pivot():
-    # The feasible set is the point (-2, -2); phase 1 leaves an artificial
-    # at level 0 whose row can only be pivoted out on a negative entry.
-    cons = [([1, 0], ">=", -2), ([1, 0], "<=", -2), ([0, 1], "==", -2),
-            ([-2, -1], ">=", -2)]
-    lp = ppt._Simplex(cons, 2, nonneg=False)
+    # The feasible set is the point x = 0; phase 1 leaves artificials at
+    # level 0 whose rows can only be pivoted out on negative entries, and
+    # every pivot must keep the common denominator positive.
+    cons = [([-2], ">=", 0), ([2], "<=", 2)] * 2
+    pivots = []
+
+    class RecordingSimplex(ppt._Simplex):
+        def _pivot(self, leave, enter, objectives):
+            pivots.append(self.tab[leave][enter])
+            super()._pivot(leave, enter, objectives)
+            assert self.den > 0
+
+    lp = RecordingSimplex(cons, 1)
     assert lp.phase1()
+    n_phase1 = len(pivots)
     lp.drop_artificials()
-    for c in ([1, 0], [0, 1], [-1, -1], [2, -1]):
-        assert lp.maximise(c) == -2 * c[0] - 2 * c[1]
-        assert lp.point() == [-2, -2]
+    assert min(pivots[n_phase1:]) < 0  # the drive-out branch ran
+    for c in ([1], [-1], [3]):
+        assert lp.maximise(c) == 0
+        assert lp.point() == [0]
 
 
 def test_lp_projection_example():
-    cons, free = ppt._projection_constraints((0, 1), Fraction(3, 10), Fraction(1, 10))
-    assert ppt.lp_feasible(cons, len(free), nonneg=True)
-    cons, free = ppt._projection_constraints((0, 1), Fraction(3, 10), Fraction(0))
-    assert not ppt.lp_feasible(cons, len(free), nonneg=True)
+    def pinned(x, y):  # the PPT system with (p1, p2) = (x, y)
+        return ppt._PPT_SYSTEM + (([1, 0, 0, 0, 0, 0, 0, 0], "==", x),
+                                  ([0, 1, 0, 0, 0, 0, 0, 0], "==", y))
+
+    assert ppt._Simplex(pinned(Fraction(3, 10), Fraction(1, 10)), 8).phase1()
+    assert not ppt._Simplex(pinned(Fraction(3, 10), Fraction(0)), 8).phase1()
 
 
 # --- region projections -----------------------------------------------------

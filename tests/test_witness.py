@@ -95,6 +95,14 @@ def test_witness_spec_checks_its_id_fields(outer, z, partition):
         witness.WitnessSpec(outer, z, 1, partition, 0.3)
 
 
+@pytest.mark.parametrize("psi", [math.nan, math.inf])
+def test_witness_spec_rejects_a_non_finite_psi(psi):
+    with pytest.raises(ValueError, match="psi must be a finite number"):
+        witness.WitnessSpec(1, 1, 1, ((4, 5), (6, 7)), psi)
+    with pytest.raises(ValueError, match="psi must be a finite number"):
+        witness.all_family_ids()[0].with_psi(psi)
+
+
 def test_witness_spec_is_its_id_plus_psi():
     spec = witness.WitnessSpec(-1, 3, -1, ((7, 4), (6, 5)), 0.25)
     assert isinstance(spec, witness.NonlinearFamilyId)
@@ -265,6 +273,24 @@ def test_min_over_products_scaled_family():
     )
     val, _ = witness.min_over_products(m)
     assert abs(val - (2.0 - math.sqrt(2.0))) < 1e-6
+
+
+def test_raw_witness_matrix_is_checked_once_per_call(monkeypatch):
+    with pytest.raises(ValueError, match="Hermitian"):
+        witness.product_expectation(np.triu(np.ones((8, 8))), (0,) * 6)
+    with pytest.raises(ValueError, match="finite"):
+        witness.min_over_products(np.full((8, 8), np.nan))
+    with pytest.raises(ValueError, match="8x8"):
+        witness.min_over_products(np.eye(4))
+    calls = []
+
+    def counting_is_hermitian(m):
+        calls.append(1)
+        return pauli.is_hermitian(m)
+
+    monkeypatch.setattr(witness, "is_hermitian", counting_is_hermitian)
+    witness.min_over_products(witness.witness_matrix(ref_spec(0.3)))
+    assert calls == [1]  # once for the call, not once per descent step
 
 
 def test_min_over_products_all_ids_nonnegative():
