@@ -7,6 +7,13 @@ pair into an independent stream per block.  `sample` generates,
 classifies and writes one block at a time in index order, so its memory
 is O(block) whatever n is, and outputs are byte-identical for a given
 (command, flags, seed).
+
+The sample CSV carries each probability as `'%.17g' % p`.  Those bytes
+come from an exact integer kernel on numpy columns (`_g17_fields`), and
+Python formats only the values outside its range [1e-9, 1) and the
+detected rows' witness values.  Rows are laid out as a byte matrix,
+_CHUNK_ROWS at a time, with zero padding that is dropped before the
+write.
 """
 
 from __future__ import annotations
@@ -190,28 +197,155 @@ class SampleReport:
 
 
 _SAMPLE_HEADER = "index,p1,p2,p3,p4,p5,p6,p7,p8,verdict,witness,witness_value\n"
-_SAMPLE_ROW = "%d," + "%.17g," * 8 + "%s,%s,%s\n"
+
+# The sample writer lays rows out as bytes in a uint8 matrix, with 0 as
+# padding, and drops the padding in one pass (`_sample_csv`).  A float
+# field is 32 bytes: `%.17g` needs at most 24, and byte 31 is always
+# padding, so the row layout writes the comma there.
+_FIELD = 32
+_CHUNK_ROWS = 512
+_U = np.uint64
+_POW5 = np.array([5 ** s for s in range(27)], dtype=np.uint64)
+_E16 = _U(10 ** 16)
 
 
-def _sample_csv(start: int, ps, verdicts, labels, values, detected) -> str:
-    """One block's CSV rows as a single string."""
-    witness = [""] * len(ps)
-    value = [""] * len(ps)
-    for i in np.flatnonzero(detected):
-        witness[i] = _csv_text(labels[i])
-        value[i] = _fmt(values[i])
-    return "".join([
-        _SAMPLE_ROW % (k, *p, v, w, x)
-        for k, p, v, w, x in zip(range(start, start + len(ps)), ps.tolist(),
-                                 verdicts.tolist(), witness, value)
-    ])
+def _words(texts, dtype) -> np.ndarray:
+    """ASCII strings as one zero-padded word each, in native byte order."""
+    size = np.dtype(dtype).itemsize
+    return np.frombuffer(b"".join(t.encode().ljust(size, b"\0") for t in texts), dtype=dtype)
+
+
+def _four_digit_groups() -> np.ndarray:
+    """0000..9999 as one 4-byte word each, then the same with trailing zeros as padding."""
+    g = np.arange(10 ** 4, dtype=np.uint16)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
+    digits += 48
+    stripped = digits * np.logical_or.accumulate(digits[:, ::-1] != 48, axis=1)[:, ::-1]
+    return np.concatenate([digits, stripped]).view(np.uint32).ravel()
+
+
+_GROUPS = _four_digit_groups()
+# The first significant digit d with what precedes or follows it, by
+# index: for 10^X <= x < 10^(X + 1), the fixed form (X >= -4) is "0.",
+# -1 - X zeros and d at 10 (-1 - X) + d; the exponent form is d at 40 + d,
+# or d and "." at 50 + d when more digits follow.
+_HEADS = _words([f"0.{'0' * z}{d}" for z in range(4) for d in range(10)]
+                + [f"{d}{dot}" for dot in ("", ".") for d in range(10)], np.uint64)
+# The exponent suffix by -X, none for the fixed form; X = -10 is a
+# fallback row's missed decade.
+_EXPONENTS = _words(["" if k <= 4 else f"e-{k:02d}" for k in range(11)], np.uint64)
+
+
+def _g17_fields(x: np.ndarray) -> np.ndarray:
+    """`'%.17g' % v` for each float v of x as a row of _FIELD bytes, 0-padded.
+
+    For 1e-9 <= v < 1 the digits are exact integer arithmetic on whole
+    columns.  With v = m 2^q (m the 53-bit significand), X = floor(log10 v)
+    and s = 16 - X, the 17 significant digits are round(m 5^s / 2^t) with
+    t = -(q + s), rounded half to even: the correctly rounded decimal that
+    `%.17g` prints.  m 5^s < 2^114 is formed from 32-bit limbs in two
+    uint64 words; t lies in 35..58.  X comes from np.log10 and can be one
+    off near a power of ten: the unrounded quotient then falls outside
+    [10^16, 10^17), and the row takes the fallback.  So does a quotient
+    that rounds up to 10^17 (no double in the range does).  Every other
+    value (0, 1, anything below 1e-9, subnormal, negative or not finite)
+    and every fallback row is formatted by Python.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    ok = (x >= 1e-9) & (x < 1.0)
+    xc = np.where(ok, x, 0.5)
+    X = np.floor(np.log10(xc)).astype(np.int64)
+    s = 16 - X
+    bits = xc.view(np.uint64)
+    m = (bits & _U(2 ** 52 - 1)) | _U(2 ** 52)
+    u = (1074 - (bits >> _U(52)).astype(np.int64) - s).astype(np.uint64)   # t - 1
+    c = _POW5[s]
+    m0, m1 = m & _U(2 ** 32 - 1), m >> _U(32)
+    c0, c1 = c & _U(2 ** 32 - 1), c >> _U(32)
+    mid = m0 * c1 + m1 * c0
+    hi = m1 * c1 + (mid >> _U(32))
+    mid <<= _U(32)
+    lo = m0 * c0 + mid
+    hi += (lo < mid).astype(np.uint64)
+    q2 = (lo >> u) | (hi << (_U(64) - u))      # floor(m 5^s / 2^(t - 1))
+    sticky = ((lo & ((_U(1) << u) - _U(1))) != _U(0)).astype(np.uint64)
+    q = q2 >> _U(1)
+    q += q2 & (sticky | q) & _U(1)             # round bit, and sticky or odd
+    ok &= ((hi >> u) == _U(0)) & (q2 >= _U(2 * 10 ** 16)) & (q < _U(10 ** 17))
+    q = np.where(ok, q, _E16)
+
+    lead = q // _E16
+    rest = q - lead * _E16
+    head = np.where(X >= -4, -10 * (X + 1), 40 + 10 * (rest != _U(0))) + lead.astype(np.int64)
+    groups = np.empty((len(x), 4), dtype=np.uint64)
+    for j, unit in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1)):
+        groups[:, j] = rest // _U(unit)
+        rest -= groups[:, j] * _U(unit)
+        groups[:, j] += (rest == _U(0)).astype(np.uint64) * _U(10 ** 4)   # last nonzero group
+    words = np.empty((len(x), _FIELD // 8), dtype=np.uint64)
+    words[:, 0] = _HEADS[head]
+    words[:, 1:3] = _GROUPS[groups].view(np.uint64)
+    words[:, 3] = _EXPONENTS[-X]
+    fields = words.view(np.uint8)
+
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        fields[bad] = np.frombuffer(
+            b"".join((b"%.17g" % v).ljust(_FIELD, b"\0") for v in x[bad].tolist()),
+            dtype=np.uint8).reshape(-1, _FIELD)
+    return fields
+
+
+# Each row's tail after the eight fields, by verdict code; a detected
+# row's tail (its label and value) is formatted per row.
+_TAIL_VERDICTS = (VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED)
+_TAILS = _words([f"{v},,\n" for v in _TAIL_VERDICTS], "S24").view(np.uint8).reshape(4, 24)
+
+
+def _digits(k: np.ndarray, width: int) -> np.ndarray:
+    """Non-negative integers as right-aligned ASCII digits, leading zeros as padding."""
+    units = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    digits = (k[:, None] // units % 10 + 48).astype(np.uint8)
+    digits[:, :-1] *= k[:, None] >= units[:-1]
+    return digits
+
+
+def _sample_rows(start: int, ps, verdicts, labels, values) -> bytes:
+    """CSV rows for states start, start + 1, ...: one byte matrix, padding dropped."""
+    rows = len(ps)
+    codes = np.zeros(rows, dtype=np.intp)
+    for code, verdict in enumerate(_TAIL_VERDICTS):
+        codes[verdicts == verdict] = code
+    tails = {i: f"{VERDICT_BOUND},{_csv_text(labels[i])},{_fmt(values[i])}\n".encode()
+             for i in np.flatnonzero(verdicts == VERDICT_BOUND).tolist()}
+    tail_width = max([_TAILS.shape[1]] + [len(t) for t in tails.values()])
+    index = _digits(np.arange(start, start + rows), len(str(start + rows - 1)))
+    a = index.shape[1] + 1
+    b = a + 8 * _FIELD
+    fields = _g17_fields(ps.ravel()).reshape(rows, 8, _FIELD)
+    fields[:, :, -1] = ord(",")
+    matrix = np.zeros((rows, b + tail_width), dtype=np.uint8)
+    matrix[:, :a - 1] = index
+    matrix[:, a - 1] = ord(",")
+    matrix[:, a:b] = fields.reshape(rows, 8 * _FIELD)
+    matrix[:, b:b + _TAILS.shape[1]] = _TAILS[codes]
+    for i, tail in tails.items():
+        matrix[i, b:] = np.frombuffer(tail.ljust(tail_width, b"\0"), dtype=np.uint8)
+    return matrix[matrix != 0].tobytes()
+
+
+def _sample_csv(start: int, ps, verdicts, labels, values) -> str:
+    """One block's CSV rows as one string, laid out _CHUNK_ROWS rows at a time."""
+    chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, len(ps), _CHUNK_ROWS)]
+    return b"".join([_sample_rows(start + c.start, ps[c], verdicts[c], labels[c], values[c])
+                     for c in chunks]).decode("ascii")
 
 
 def run_sample(n: int, seed: int, tol: float = 1e-9, csv_path: str | None = None):
     """Classify n uniform-simplex states; returns the aggregate report."""
     n_ppt = n_det = n_sep = n_und = 0
     tallies: Counter[str] = Counter()
-    with open(csv_path, "w", newline="\n") if csv_path else nullcontext() as handle:
+    with open(csv_path, "w", newline="\n") if csv_path is not None else nullcontext() as handle:
         if handle:
             handle.write(_SAMPLE_HEADER)
         for block, start in enumerate(range(0, n, BLOCK_SIZE)):
@@ -225,7 +359,7 @@ def run_sample(n: int, seed: int, tol: float = 1e-9, csv_path: str | None = None
             n_und += int(np.count_nonzero(verdicts == VERDICT_UNDECIDED))
             tallies.update(labels[detected].tolist())
             if handle:
-                handle.write(_sample_csv(start, ps, verdicts, labels, values, detected))
+                handle.write(_sample_csv(start, ps, verdicts, labels, values))
     return SampleReport(
         n_total=n,
         n_ppt=n_ppt,

@@ -291,22 +291,26 @@ class _Simplex:
     def __init__(self, constraints, n_vars: int):
         """The phase-1 tableau of (coefficients, relation, rhs) rows, rhs made >= 0.
 
-        Each row is scaled to integers, and negated if its rhs is negative.
-        Columns: the variables, one slack per inequality, one artificial per
-        row, the rhs.  A "<=" row starts on its slack, any other on its
-        artificial.
+        Each row is scaled to integers by the lcm of its denominators (a
+        row of Python ints already is, and is only copied), and negated if
+        its rhs is negative.  Columns: the variables, one slack per
+        inequality, one artificial per row, the rhs.  A "<=" row starts on
+        its slack, any other on its artificial.
         """
         rows = []
         for coeffs, rel, rhs in constraints:
             if rel not in _FLIP:
                 raise ValueError(f"unknown relation {rel!r}")
-            cf = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
-            if len(cf) != n_vars + 1:
+            ints = [*coeffs, rhs]
+            if len(ints) != n_vars + 1:
                 raise ValueError("constraint arity mismatch")
-            scale = math.lcm(*(f.denominator for f in cf))
-            if cf[-1] < 0:
-                scale, rel = -scale, _FLIP[rel]
-            rows.append(([int(f * scale) for f in cf], rel))
+            if not all(type(v) is int for v in ints):
+                cf = [Fraction(c) for c in ints]
+                scale = math.lcm(*(f.denominator for f in cf))
+                ints = [int(f * scale) for f in cf]
+            if ints[-1] < 0:
+                ints, rel = [-v for v in ints], _FLIP[rel]
+            rows.append((ints, rel))
         n_slack = sum(rel != "==" for _, rel in rows)
         self.n_struct, self.n_cols, self.den = n_vars, n_vars + n_slack + len(rows) + 1, 1
         self.tab, self.basis, self.art_cols = [], [], []
@@ -510,16 +514,18 @@ def _lp_cells(plane: tuple[int, int], grid: int) -> set[tuple[int, int]]:
     """The cells of `project_region` by one exact LP per cell: the cross-check of the mask.
 
     Cell (i, j) is feasible when _PPT_SYSTEM over all eight probabilities,
-    plus the rows p_a == i/grid and p_b == j/grid, passes phase 1.  No scan
-    runs it: `mubw verify --suite region` and the tests compare it with the
-    mask.
+    plus the rows p_a == i/grid and p_b == j/grid, passes phase 1.  The
+    system's rows are integers already; each pin row is written in lowest
+    integer terms, d p_c == n for i/grid = n/d, so no row is converted to
+    Fractions.  No scan runs it: `mubw verify --suite region` and the tests
+    compare it with the mask.
     """
     a, b = _check_plane(plane)
     cells = set()
     for j in range(grid):
         for i in range(min(grid, grid - j + 1)):  # the corners with i + j <= grid
-            pin = tuple(([int(k == c) for k in range(8)], "==", Fraction(v, grid))
-                        for c, v in ((a, i), (b, j)))
+            pin = tuple(([f.denominator * (k == c) for k in range(8)], "==", f.numerator)
+                        for c, f in ((a, Fraction(i, grid)), (b, Fraction(j, grid))))
             if _Simplex(_PPT_SYSTEM + pin, 8).phase1():
                 cells.add((i, j))
     return cells

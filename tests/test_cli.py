@@ -1,8 +1,10 @@
 """CLI behavior: flags, exit codes, determinism, CSV round trips."""
 
 import csv
+import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubwitness import cli, pauli, ppt, witness
 from mubwitness.classify import (
@@ -383,6 +387,23 @@ def test_classify_outputs_match_golden_files(capsys, name):
         assert out == (CLASSIFY_GOLDEN / f"{name}.{suffix}").read_bytes()
 
 
+SAMPLE_GOLDEN = Path(__file__).parent / "data" / "sample"
+
+
+@pytest.mark.parametrize("name", ["n10000-seed42", "n4097-seed1", "n1-seed0"])
+def test_sample_outputs_match_golden_digests(tmp_path, capsys, name):
+    # Reference outputs of `mubw sample --n N --seed S --out sample.csv` for
+    # <name> = nN-seedS: the exact stdout, and the CSV's SHA-256 in
+    # `sha256sum -c` form.  n = 4097 ends on a one-row block.
+    n, seed = re.fullmatch(r"n(\d+)-seed(\d+)", name).groups()
+    out = tmp_path / "sample.csv"
+    assert cli.main(["sample", "--n", n, "--seed", seed, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode() == (SAMPLE_GOLDEN / f"{name}.stdout").read_bytes()
+    digest, file_name = (SAMPLE_GOLDEN / f"{name}.sha256").read_text().split()
+    assert file_name == out.name
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_region_cat1_triangle_csv(tmp_path):
     out = tmp_path / "cat1.csv"
     svg = tmp_path / "cat1.svg"
@@ -422,6 +443,7 @@ def test_region_bad_plane_exit_2(tmp_path):
     ["region", "--plane", "p1p2", "--grid", "4", "--out", "{missing}"],
     ["region", "--plane", "p1p2", "--grid", "4", "--out", "{ok}", "--svg", "{missing}"],
     ["sample", "--n", "10", "--out", "{missing}"],
+    ["sample", "--n", "10", "--out", ""],
 ])
 def test_unwritable_output_exit_2(tmp_path, command):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "ok": str(tmp_path / "ok.csv")}
@@ -550,3 +572,49 @@ def test_verify_injected_bug_fails():
                    "--inject-bug", "oracle"])
     assert res.returncode == 1
     assert "[FAIL] oracle" in res.stdout
+
+
+def _g17_text(x):
+    """The kernel's fields for x as lines of text: byte 31 is padding, so it takes the newline."""
+    fields = cli._g17_fields(np.asarray(x, dtype=float))
+    assert not fields[:, -1].any()
+    fields[:, -1] = ord("\n")
+    return fields[fields != 0].tobytes().decode()
+
+
+def _assert_g17_exact(x):
+    expected = "".join(["%.17g\n" % v for v in np.asarray(x, dtype=float).tolist()])
+    got = _g17_text(x)
+    if got != expected:
+        pairs = zip(np.asarray(x).tolist(), got.splitlines(), expected.splitlines())
+        raise AssertionError(next((v, g, e) for v, g, e in pairs if g != e))
+
+
+def test_g17_fields_equal_percent_17g_on_a_million_values():
+    # The CSV writer's float kernel against Python's `%.17g`, byte for byte:
+    # flat-simplex draws and random bit patterns across [1e-12, 1].
+    rng = np.random.default_rng(2024)
+    draws = cli.sample_simplex(rng, 65_536).ravel()
+    low, high = np.array([1e-12, 1.0]).view(np.uint64)
+    bits = rng.integers(low, high, size=500_000, dtype=np.uint64, endpoint=True)
+    _assert_g17_exact(np.concatenate([draws, bits.view(np.float64)]))
+
+
+def test_g17_fields_equal_percent_17g_on_edge_values():
+    # Doubles below 10^-k whose 17 digits round up into the next decade
+    # (1e-14, 1e-70, ...): none lies in the kernel's range [1e-9, 1).
+    carries = [float(Fraction(1, 10 ** k)) for k in range(1, 324)]
+    carries = [x for k, x in enumerate(carries, 1)
+               if Fraction(x) < Fraction(1, 10 ** k) and "%.17g" % x == f"1e-{k:02d}"]
+    assert len(carries) >= 10
+    powers = [10.0 ** -k for k in range(1, 13)]   # 1e-9 is the kernel's lower bound
+    near = [np.nextafter(v, d) for v in powers for d in (0.0, 1.0)]
+    edges = ([0.0, 1.0, 5e-324, 2.2250738585072014e-308, np.nextafter(1.0, 0.0)]
+             + powers + near + [2.0 ** -k for k in range(1, 61)] + carries)
+    _assert_g17_exact(edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+def test_g17_fields_equal_percent_17g_property(values):
+    _assert_g17_exact(values)
