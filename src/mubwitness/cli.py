@@ -8,12 +8,15 @@ classifies and writes one block at a time in index order, so its memory
 is O(block) whatever n is, and outputs are byte-identical for a given
 (command, flags, seed).
 
-The sample CSV carries each probability as `'%.17g' % p`.  Those bytes
-come from an exact integer kernel on numpy columns (`_g17_fields`), and
-Python formats only the values outside its range [1e-9, 1) and the
-detected rows' witness values.  Rows are laid out as a byte matrix,
-_CHUNK_ROWS at a time, with zero padding that is dropped before the
-write.
+Every CSV is written by one row writer (`_write_rows`).  Each field is a
+uint8 column with zero padding; _CHUNK_ROWS rows at a time, the fields
+are laid out side by side in one byte matrix and one mask drops the
+padding, so the writer's memory depends on the chunk, not on the number
+of rows.  The sample CSV carries each probability as `'%.17g' % p`: the
+bytes come from an exact integer kernel on numpy columns (`_g17_fields`),
+and Python formats only the values outside its range [1e-9, 1) and the
+detected rows' witness labels and values.  A region scan formats each
+lattice index's integer and coordinate once and gathers them by index.
 """
 
 from __future__ import annotations
@@ -101,16 +104,13 @@ def sample_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _parse_state(args) -> np.ndarray:
+    if args.r is not None:
+        return pauli.p_from_r(pauli.as_rvec([float(v) for v in args.r.split(",")]))
+    text = args.p
     if args.state_file is not None:
         with open(args.state_file) as fh:
             text = fh.read().strip()
-        values = [float(v) for v in text.split(",")]
-        return pauli.as_probs(values)
-    if args.p is not None:
-        values = [float(v) for v in args.p.split(",")]
-        return pauli.as_probs(values)
-    values = [float(v) for v in args.r.split(",")]
-    return pauli.p_from_r(pauli.as_rvec(values))
+    return pauli.as_probs([float(v) for v in text.split(",")])
 
 
 def cmd_classify(args) -> int:
@@ -196,12 +196,10 @@ class SampleReport:
         return out
 
 
-_SAMPLE_HEADER = "index,p1,p2,p3,p4,p5,p6,p7,p8,verdict,witness,witness_value\n"
-
-# The sample writer lays rows out as bytes in a uint8 matrix, with 0 as
-# padding, and drops the padding in one pass (`_sample_csv`).  A float
-# field is 32 bytes: `%.17g` needs at most 24, and byte 31 is always
-# padding, so the row layout writes the comma there.
+# Rows are written as bytes (`_write_rows`): each field is a uint8 column
+# with 0 as padding, and one mask drops the padding.  A float field is 32
+# bytes: `%.17g` needs at most 24, and byte 31 is always padding, so the
+# eight probabilities of a sample row form one block with the commas there.
 _FIELD = 32
 _CHUNK_ROWS = 512
 _U = np.uint64
@@ -209,10 +207,10 @@ _POW5 = np.array([5 ** s for s in range(27)], dtype=np.uint64)
 _E16 = _U(10 ** 16)
 
 
-def _words(texts, dtype) -> np.ndarray:
-    """ASCII strings as one zero-padded word each, in native byte order."""
-    size = np.dtype(dtype).itemsize
-    return np.frombuffer(b"".join(t.encode().ljust(size, b"\0") for t in texts), dtype=dtype)
+def _table(texts, width: int = 0) -> np.ndarray:
+    """ASCII strings as the rows of a uint8 matrix, zero-padded to width or the longest."""
+    a = np.array(texts, dtype=f"S{width}" if width else bytes)
+    return a.view(np.uint8).reshape(len(a), a.itemsize)
 
 
 def _four_digit_groups() -> np.ndarray:
@@ -229,11 +227,11 @@ _GROUPS = _four_digit_groups()
 # index: for 10^X <= x < 10^(X + 1), the fixed form (X >= -4) is "0.",
 # -1 - X zeros and d at 10 (-1 - X) + d; the exponent form is d at 40 + d,
 # or d and "." at 50 + d when more digits follow.
-_HEADS = _words([f"0.{'0' * z}{d}" for z in range(4) for d in range(10)]
-                + [f"{d}{dot}" for dot in ("", ".") for d in range(10)], np.uint64)
+_HEADS = _table([f"0.{'0' * z}{d}" for z in range(4) for d in range(10)]
+                + [f"{d}{dot}" for dot in ("", ".") for d in range(10)], 8).view(np.uint64).ravel()
 # The exponent suffix by -X, none for the fixed form; X = -10 is a
 # fallback row's missed decade.
-_EXPONENTS = _words(["" if k <= 4 else f"e-{k:02d}" for k in range(11)], np.uint64)
+_EXPONENTS = _table(["" if k <= 4 else f"e-{k:02d}" for k in range(11)], 8).view(np.uint64).ravel()
 
 
 def _g17_fields(x: np.ndarray) -> np.ndarray:
@@ -296,12 +294,6 @@ def _g17_fields(x: np.ndarray) -> np.ndarray:
     return fields
 
 
-# Each row's tail after the eight fields, by verdict code; a detected
-# row's tail (its label and value) is formatted per row.
-_TAIL_VERDICTS = (VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED)
-_TAILS = _words([f"{v},,\n" for v in _TAIL_VERDICTS], "S24").view(np.uint8).reshape(4, 24)
-
-
 def _digits(k: np.ndarray, width: int) -> np.ndarray:
     """Non-negative integers as right-aligned ASCII digits, leading zeros as padding."""
     units = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -310,44 +302,50 @@ def _digits(k: np.ndarray, width: int) -> np.ndarray:
     return digits
 
 
-def _sample_rows(start: int, ps, verdicts, labels, values) -> bytes:
-    """CSV rows for states start, start + 1, ...: one byte matrix, padding dropped."""
-    rows = len(ps)
-    codes = np.zeros(rows, dtype=np.intp)
-    for code, verdict in enumerate(_TAIL_VERDICTS):
-        codes[verdicts == verdict] = code
-    tails = {i: f"{VERDICT_BOUND},{_csv_text(labels[i])},{_fmt(values[i])}\n".encode()
-             for i in np.flatnonzero(verdicts == VERDICT_BOUND).tolist()}
-    tail_width = max([_TAILS.shape[1]] + [len(t) for t in tails.values()])
-    index = _digits(np.arange(start, start + rows), len(str(start + rows - 1)))
-    a = index.shape[1] + 1
-    b = a + 8 * _FIELD
-    fields = _g17_fields(ps.ravel()).reshape(rows, 8, _FIELD)
-    fields[:, :, -1] = ord(",")
-    matrix = np.zeros((rows, b + tail_width), dtype=np.uint8)
-    matrix[:, :a - 1] = index
-    matrix[:, a - 1] = ord(",")
-    matrix[:, a:b] = fields.reshape(rows, 8 * _FIELD)
-    matrix[:, b:b + _TAILS.shape[1]] = _TAILS[codes]
-    for i, tail in tails.items():
-        matrix[i, b:] = np.frombuffer(tail.ljust(tail_width, b"\0"), dtype=np.uint8)
-    return matrix[matrix != 0].tobytes()
+# The commas between a sample row's eight probability fields, in byte 31 of each.
+_COMMAS = np.zeros(8 * _FIELD - 1, dtype=np.uint8)
+_COMMAS[_FIELD - 1::_FIELD] = ord(",")
 
 
-def _sample_csv(start: int, ps, verdicts, labels, values) -> str:
-    """One block's CSV rows as one string, laid out _CHUNK_ROWS rows at a time."""
-    chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, len(ps), _CHUNK_ROWS)]
-    return b"".join([_sample_rows(start + c.start, ps[c], verdicts[c], labels[c], values[c])
-                     for c in chunks]).decode("ascii")
+# Row statuses by code: one comparison per status is the cheapest read of an object column.
+_STATUSES = (VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED, "invalid")
+_STATUS_TEXT = _table(_STATUSES)
+
+
+def _verdict_fields(verdicts, labels, values) -> list[np.ndarray]:
+    """The status field, then "witness,value": "," unless the row was detected."""
+    codes = np.zeros(len(verdicts), dtype=np.intp)
+    for code, status in enumerate(_STATUSES[1:], 1):
+        codes[verdicts == status] = code
+    detected = np.flatnonzero(codes == 1)
+    tails = _table([f"{_csv_text(labels[k])},{_fmt(values[k])}" for k in detected.tolist()])
+    fields = np.zeros((len(verdicts), tails.shape[1]), dtype=np.uint8)
+    fields[:, 0] = ord(",")
+    fields[detected] = tails
+    return [_STATUS_TEXT[codes], fields]
+
+
+def _write_rows(handle, n: int, fields) -> None:
+    """Write n CSV rows to a binary file, _CHUNK_ROWS at a time.
+
+    fields(rows) gives a slice of rows' fields in column order, each a
+    (rows, width) uint8 column with 0 as padding (all zero: an empty field).
+    """
+    for lo in range(0, n, _CHUNK_ROWS):
+        columns = fields(slice(lo, min(n, lo + _CHUNK_ROWS)))
+        comma = np.full((len(columns[0]), 1), ord(","), dtype=np.uint8)
+        matrix = np.concatenate([part for column in columns for part in (column, comma)], axis=1)
+        matrix[:, -1] = ord("\n")
+        handle.write(matrix[matrix != 0].tobytes())
 
 
 def run_sample(n: int, seed: int, tol: float = 1e-9, csv_path: str | None = None):
     """Classify n uniform-simplex states; returns the aggregate report."""
     n_ppt = n_det = n_sep = n_und = 0
     tallies: Counter[str] = Counter()
-    with open(csv_path, "w", newline="\n") if csv_path is not None else nullcontext() as handle:
+    with open(csv_path, "wb") if csv_path is not None else nullcontext() as handle:
         if handle:
-            handle.write(_SAMPLE_HEADER)
+            handle.write(b"index,p1,p2,p3,p4,p5,p6,p7,p8,verdict,witness,witness_value\n")
         for block, start in enumerate(range(0, n, BLOCK_SIZE)):
             rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
             ps = sample_simplex(rng, min(BLOCK_SIZE, n - start))
@@ -358,8 +356,12 @@ def run_sample(n: int, seed: int, tol: float = 1e-9, csv_path: str | None = None
             n_sep += int(np.count_nonzero(verdicts == VERDICT_SEPARABLE))
             n_und += int(np.count_nonzero(verdicts == VERDICT_UNDECIDED))
             tallies.update(labels[detected].tolist())
-            if handle:
-                handle.write(_sample_csv(start, ps, verdicts, labels, values))
+            if handle:   # the probabilities' kernel runs a chunk at a time, in cache
+                index = _digits(np.arange(start, start + len(ps)), len(str(n)))
+                status, tail = _verdict_fields(verdicts, labels, values)
+                _write_rows(handle, len(ps), lambda c: [
+                    index[c], _g17_fields(ps[c].ravel()).reshape(-1, 8 * _FIELD)[:, :-1] | _COMMAS,
+                    status[c], tail[c]])
     return SampleReport(
         n_total=n,
         n_ppt=n_ppt,
@@ -391,23 +393,16 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lattice(n: int):
-    """Column (i) and row (j) indices of an n x n lattice, j major."""
-    j, i = np.divmod(np.arange(n * n), n)
-    return i, j
-
-
 def _region_plane(plane, grid, samples, seed, tol):
-    """The PPT region on a coordinate plane as columns over the grid x grid cells.
+    """The PPT region on a coordinate plane as columns over the grid x grid cells, j major.
 
-    Columns i, j, feasible (0 or 1) and status ("feasible" or "infeasible");
-    with samples, also "tally": each cell's (NPT, bound, separable,
-    undecided) counts of `samples` seeded states, zero off the region.
+    Columns i, j and feasible (0 or 1); with samples, also "tally": each
+    cell's (NPT, bound, separable, undecided) counts of `samples` seeded
+    states, zero off the region.
     """
-    i, j = _lattice(grid)
+    j, i = np.divmod(np.arange(grid * grid), grid)
     feasible = ppt.region_mask(plane, grid).ravel().astype(np.int64)
-    columns = {"i": i, "j": j, "feasible": feasible,
-               "status": np.where(feasible == 1, "feasible", "infeasible")}
+    columns = {"i": i, "j": j, "feasible": feasible}
     if samples:
         tally = np.zeros((grid * grid, 4), dtype=np.int64)
         for k in np.flatnonzero(feasible).tolist():
@@ -440,7 +435,7 @@ def region_cat1_triangle(grid: int, tol: float = 1e-9):
     p1, p2, status (a verdict, or "invalid" where p1 + p2 > 1), witness
     (label, "" unless detected) and value (NaN unless detected).
     """
-    i, j = _lattice(grid + 1)
+    j, i = np.divmod(np.arange((grid + 1) ** 2), grid + 1)
     coord = np.arange(grid + 1) / grid
     p1, p2 = coord[i], coord[j]
     valid = p1 + p2 <= 1.0 + pauli.RESOLUTION
@@ -453,35 +448,26 @@ def region_cat1_triangle(grid: int, tol: float = 1e-9):
             "status": status, "witness": labels, "value": values}
 
 
-def _cells(columns, grid: int):
-    """(i, j, i/grid, j/grid) per cell; each coordinate is formatted once per lattice index."""
-    coords = [_fmt(k / grid) for k in range(grid + 1)]
-    i, j = columns["i"].tolist(), columns["j"].tolist()
-    return zip(i, j, [coords[k] for k in i], [coords[k] for k in j])
-
-
-_SVG_COLORS = {
-    "feasible": "#4477aa", "infeasible": "#eeeeee",
-    VERDICT_NPT: "#eeeeee", VERDICT_BOUND: "#cc3311",
-    VERDICT_SEPARABLE: "#228833", VERDICT_UNDECIDED: "#4477aa",
-    "invalid": "#ffffff",
-}
+# The fill of a triangle point by status, or of a plane cell whose feasible
+# flag is 1; other cells are left blank.
+_SVG_COLORS = {VERDICT_BOUND: "#cc3311", VERDICT_SEPARABLE: "#228833",
+               VERDICT_UNDECIDED: "#4477aa", 1: "#4477aa"}
 
 
 def write_region_svg(path: str, columns, grid: int) -> None:
-    """Minimal vector-graphic rendering of a region scan (one rect per cell)."""
+    """Minimal vector-graphic rendering of a region scan (one rect per coloured cell)."""
     size = 800
     cell = size / grid
     xs = [f"{k * cell:.2f}" for k in range(grid + 1)]
     ys = [f"{size - (k + 1) * cell:.2f}" for k in range(grid + 1)]
     side = f"{cell:.2f}"
+    keys = columns["status"] if "status" in columns else columns["feasible"].tolist()
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}">']
-    for i, j, status in zip(columns["i"].tolist(), columns["j"].tolist(), columns["status"]):
-        color = _SVG_COLORS.get(status, "#000000")
-        if color not in ("#eeeeee", "#ffffff"):
+    for i, j, key in zip(columns["i"].tolist(), columns["j"].tolist(), keys):
+        if fill := _SVG_COLORS.get(key):
             parts.append(f'<rect x="{xs[i]}" y="{ys[j]}" width="{side}" '
-                         f'height="{side}" fill="{color}"/>')
+                         f'height="{side}" fill="{fill}"/>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -500,31 +486,35 @@ def cmd_region(args) -> int:
                    _region_plane(_PLANES[args.plane], args.grid, args.samples, args.seed, args.tol))
     except MemoryError as exc:  # numpy refuses a grid whose arrays cannot fit at once
         return _error(f"--grid {args.grid} is too large: {exc}")
-    cells = _cells(columns, args.grid)
-    if triangle:
-        header = "i,j,p1,p2,status,witness,value\n"
-        rows = [f"{i},{j},{x},{y},{s},{_csv_text(w)},{_fmt(v)}\n" if s == VERDICT_BOUND
-                else f"{i},{j},{x},{y},{s},,\n"
-                for (i, j, x, y), s, w, v in zip(cells, columns["status"],
-                                                 columns["witness"], columns["value"].tolist())]
-    elif args.samples:
-        header = "i,j,x,y,feasible,n_npt,n_bound,n_separable,n_undecided\n"
-        rows = [f"{i},{j},{x},{y},1,{t[0]},{t[1]},{t[2]},{t[3]}\n" if f
-                else f"{i},{j},{x},{y},0,,,,\n"
-                for (i, j, x, y), f, t in zip(cells, columns["feasible"].tolist(),
-                                              columns["tally"].tolist())]
-    else:
-        header = "i,j,x,y,feasible\n"
-        rows = [f"{i},{j},{x},{y},{f}\n"
-                for (i, j, x, y), f in zip(cells, columns["feasible"].tolist())]
+    # Each lattice index's integer and coordinate, formatted once; a
+    # feasible flag (0 or 1) is its own index's integer.
+    i, j, feasible = columns["i"], columns["j"], columns.get("feasible")
+    ints = _table([str(k) for k in range(args.grid + 1)])
+    coords = _table([_fmt(k / args.grid) for k in range(args.grid + 1)])
+
+    def fields(c):
+        cells = [ints[i[c]], ints[j[c]], coords[i[c]], coords[j[c]]]
+        if triangle:
+            return cells + _verdict_fields(columns["status"][c], columns["witness"][c],
+                                           columns["value"][c])
+        cells.append(ints[feasible[c]])
+        if args.samples:   # tallies are empty off the region
+            cells += [_digits(t, len(str(args.samples))) * (feasible[c, None] == 1)
+                      for t in columns["tally"][c].T]
+        return cells
+
+    header = (b"i,j,p1,p2,status,witness,value\n" if triangle else
+              b"i,j,x,y,feasible,n_npt,n_bound,n_separable,n_undecided\n" if args.samples else
+              b"i,j,x,y,feasible\n")
     try:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(header + "".join(rows))
+        with open(args.out, "wb") as fh:
+            fh.write(header)
+            _write_rows(fh, len(i), fields)
         if args.svg:
             write_region_svg(args.svg, columns, args.grid)
     except OSError as exc:
         return _error(exc)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(i)} rows to {args.out}")
     return 0
 
 

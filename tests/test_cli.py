@@ -372,6 +372,40 @@ def test_region_outputs_match_golden_files(tmp_path, name, args):
         assert svg.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
 
 
+@pytest.mark.parametrize("name, args", [
+    ("p1p2-400", ["--plane", "p1p2", "--grid", "400"]),
+    ("p1p3-400", ["--plane", "p1p3", "--grid", "400"]),
+    ("cat1-triangle-40", ["--plane", "cat1-triangle", "--grid", "40"]),
+    ("cat1-triangle-100", ["--plane", "cat1-triangle", "--grid", "100"]),
+    ("p1p2-40-samples", ["--plane", "p1p2", "--grid", "40", "--samples", "4", "--seed", "3"]),
+])
+def test_region_outputs_match_golden_digests(tmp_path, name, args):
+    # Scans of 1 600 to 160 000 rows, which cross many of the CSV writer's
+    # 512-row chunks: the CSV's SHA-256 in `sha256sum -c` form.
+    out = tmp_path / "region.csv"
+    assert cli.main(["region", *args, "--out", str(out)]) == 0
+    digest, file_name = (GOLDEN / f"{name}.sha256").read_text().split()
+    assert file_name == out.name
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_region_csv_memory_bounded_by_the_chunk(tmp_path):
+    # The CSV is written one chunk of rows at a time: at grid 800 (640 000
+    # rows) writing it adds at most a few MB to the peak of building the columns.
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    build = peak(lambda: cli._region_plane(cli._PLANES["p1p2"], 800, 0, 0, 1e-9))
+    scan = peak(lambda: cli.main(["region", "--plane", "p1p2", "--grid", "800",
+                                  "--out", str(tmp_path / "mem.csv")]))
+    assert scan <= build + 4 * 2 ** 20, (build, scan)
+
+
 CLASSIFY_GOLDEN = Path(__file__).parent / "data" / "classify"
 
 
