@@ -104,13 +104,16 @@ def sample_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _parse_state(args) -> np.ndarray:
-    if args.r is not None:
-        return pauli.p_from_r(pauli.as_rvec([float(v) for v in args.r.split(",")]))
-    text = args.p
     if args.state_file is not None:
         with open(args.state_file) as fh:
             text = fh.read().strip()
-    return pauli.as_probs([float(v) for v in text.split(",")])
+        values = [float(v) for v in text.split(",")]
+        return pauli.as_probs(values)
+    if args.p is not None:
+        values = [float(v) for v in args.p.split(",")]
+        return pauli.as_probs(values)
+    values = [float(v) for v in args.r.split(",")]
+    return pauli.p_from_r(pauli.as_rvec(values))
 
 
 def cmd_classify(args) -> int:
@@ -288,9 +291,7 @@ def _g17_fields(x: np.ndarray) -> np.ndarray:
 
     bad = np.flatnonzero(~ok)
     if len(bad):
-        fields[bad] = np.frombuffer(
-            b"".join((b"%.17g" % v).ljust(_FIELD, b"\0") for v in x[bad].tolist()),
-            dtype=np.uint8).reshape(-1, _FIELD)
+        fields[bad] = _table(["%.17g" % v for v in x[bad].tolist()], _FIELD)
     return fields
 
 
@@ -393,14 +394,20 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _lattice(n: int):
+    """Column (i) and row (j) indices of an n x n lattice, j major."""
+    j, i = np.divmod(np.arange(n * n), n)
+    return i, j
+
+
 def _region_plane(plane, grid, samples, seed, tol):
-    """The PPT region on a coordinate plane as columns over the grid x grid cells, j major.
+    """The PPT region on a coordinate plane as columns over the grid x grid cells.
 
     Columns i, j and feasible (0 or 1); with samples, also "tally": each
     cell's (NPT, bound, separable, undecided) counts of `samples` seeded
     states, zero off the region.
     """
-    j, i = np.divmod(np.arange(grid * grid), grid)
+    i, j = _lattice(grid)
     feasible = ppt.region_mask(plane, grid).ravel().astype(np.int64)
     columns = {"i": i, "j": j, "feasible": feasible}
     if samples:
@@ -435,7 +442,7 @@ def region_cat1_triangle(grid: int, tol: float = 1e-9):
     p1, p2, status (a verdict, or "invalid" where p1 + p2 > 1), witness
     (label, "" unless detected) and value (NaN unless detected).
     """
-    j, i = np.divmod(np.arange((grid + 1) ** 2), grid + 1)
+    i, j = _lattice(grid + 1)
     coord = np.arange(grid + 1) / grid
     p1, p2 = coord[i], coord[j]
     valid = p1 + p2 <= 1.0 + pauli.RESOLUTION

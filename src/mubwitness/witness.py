@@ -219,18 +219,10 @@ def product_state_vector(angles) -> np.ndarray:
     ).ravel()
 
 
-@lru_cache(maxsize=256)
-def _spec_matrix(w: WitnessSpec) -> np.ndarray:
-    """witness_matrix(w), built once per spec and read-only."""
-    m = witness_matrix(w)
-    m.flags.writeable = False
-    return m
-
-
 def _as_matrix(w) -> np.ndarray:
-    """W as a matrix: cached for a WitnessSpec, or a raw matrix checked once."""
+    """W as a matrix: built from a WitnessSpec, or a raw matrix checked once."""
     if isinstance(w, WitnessSpec):
-        return _spec_matrix(w)
+        return witness_matrix(w)
     m = np.asarray(w, dtype=complex)
     if m.shape != (8, 8):
         raise ValueError(f"expected an 8x8 witness matrix, got shape {m.shape}")

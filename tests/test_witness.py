@@ -293,29 +293,6 @@ def test_raw_witness_matrix_is_checked_once_per_call(monkeypatch):
     assert calls == [1]  # once for the call, not once per descent step
 
 
-def test_spec_matrix_is_built_once_per_spec(monkeypatch):
-    built = []
-    build = witness.witness_matrix
-
-    def counting_witness_matrix(w):
-        built.append(w)
-        return build(w)
-
-    monkeypatch.setattr(witness, "witness_matrix", counting_witness_matrix)
-    witness._spec_matrix.cache_clear()
-    spec = ref_spec(0.7)
-    angles = (0.3, 1.1, 2.0, 0.4, 1.3, 5.0)
-    want = witness._expectation(build(spec), angles)
-    values = [witness.product_expectation(spec, angles) for _ in range(3)]
-    assert built == [spec]
-    assert np.array(values).tobytes() == np.array([want] * 3).tobytes()
-    cached = witness._as_matrix(spec)
-    assert not cached.flags.writeable
-    fresh = build(spec)
-    assert fresh.flags.writeable and fresh is not cached
-    assert fresh.tobytes() == cached.tobytes()
-
-
 def test_min_over_products_all_ids_nonnegative():
     for id_ in witness.all_family_ids():
         for psi in (math.pi / 6, math.pi / 4, math.pi / 3):
