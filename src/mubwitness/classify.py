@@ -6,9 +6,11 @@ manifestly separable pieces reconstructs it), or PPT-undecided.  The
 certificate constructions cover: one pair of probabilities zero, three
 pairs equal, and the three category separable branches together with the
 separable edge of the category-1 triangle.  One function,
-_match_patterns, states every family's equalities and inequalities, and
-both the scalar certify_separable and the batch core call it; the
-builders only compute weights and build terms.  classify and
+_match_patterns, is the pattern test of every family, and both the
+scalar certify_separable and the batch core call it.  Each category
+branch is stated once, in _branch_cat1/2/3: _match_patterns reads its
+flag, and the one table-driven builder, _build_branch, reads its mass,
+cos(2*phi0) numerator and basis-state weights.  classify and
 classify_batch raise ValueError on a row that is not a probability vector.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -164,43 +167,78 @@ def _product_average(angle_sets) -> np.ndarray:
     return acc / len(angles)
 
 
-def _equatorial_mix_a(phi0: float) -> np.ndarray:
-    """Average of 8 equatorial products with phi2 = -phi1 (mod the pi branch).
+def _equatorial_mix(phi0: float, qubit: int, sign: int) -> np.ndarray:
+    """Average of 8 equatorial products with phi_qubit = sign*phi1 (mod the pi branch).
 
-    Carries coherence +1/8 on the (000,111) and (001,110) pairs and
-    cos(2*phi0)/8 on the other two; diagonal is uniform.
+    The third qubit's phase is 0, or pi on the pi branch, where phi_qubit
+    is sign*(phi1 - pi).  qubit 2, sign -1 carries coherence +1/8 on the
+    (000,111) and (001,110) pairs and cos(2*phi0)/8 on the other two;
+    qubit 3, sign +1 carries +1/8 on (001,110) and (011,100) and
+    cos(2*phi0)/8 on (000,111) and (010,101).  The diagonal is uniform.
     """
     half = math.pi / 2.0
     sets = []
     for phi in (phi0, -phi0, phi0 + math.pi, -phi0 + math.pi):
-        sets.append((half, phi, half, -phi, half, 0.0))
-        sets.append((half, phi, half, math.pi - phi, half, math.pi))
+        for shift in (0.0, math.pi):
+            phases = [phi, shift, shift]
+            phases[qubit - 1] = sign * (phi - shift)
+            sets.append((half, phases[0], half, phases[1], half, phases[2]))
     return _product_average(sets)
 
 
-def _equatorial_mix_b(phi0: float) -> np.ndarray:
-    """Average of 8 equatorial products with phi3 = phi1 (mod the pi branch).
+# Each category branch, stated once as a function of p1..p8 that takes
+# eight floats or eight columns, as _match_patterns does.  It returns the
+# branch's flag, the mass m of its equatorial mixture, the numerator c of
+# cos(2*phi0) = c/m, and the weights of its two pairs of basis states.
 
-    Carries coherence +1/8 on (001,110) and (011,100) and cos(2*phi0)/8
-    on (000,111) and (010,101); diagonal is uniform.
-    """
-    half = math.pi / 2.0
-    sets = []
-    for phi in (phi0, -phi0, phi0 + math.pi, -phi0 + math.pi):
-        sets.append((half, phi, half, 0.0, half, phi))
-        sets.append((half, phi, half, math.pi, half, phi - math.pi))
-    return _product_average(sets)
+
+def _branch_cat1(p1, p2, p3, p4, p5, p6, p7, p8):
+    """p2 = p4 = 0, p1 = p3, r5 = r6: equal pair-3/pair-4 imbalance."""
+    mt = RESOLUTION
+    u = (p1 + p3) / 2.0
+    gamma5, gamma7 = (p5 - p6) / 2.0, (p7 - p8) / 2.0
+    w34, w78 = (p5 + p6) / 2.0 - u / 2.0, (p7 + p8) / 2.0 - u / 2.0
+    flag = ((p2 <= mt) & (p4 <= mt) & (abs(p1 - p3) <= mt) & (abs(gamma5 - gamma7) <= mt)
+            & (abs(gamma5 + gamma7) <= u + mt) & (w34 >= -mt) & (w78 >= -mt))
+    # Twice the mean imbalance, not gamma5 + gamma7: halving a subnormal sum can round.
+    return flag, u, 2.0 * ((gamma5 + gamma7) / 2.0), w34, w78
+
+
+def _branch_cat2(p1, p2, p3, p4, p5, p6, p7, p8):
+    """p4 = 0, p3 = p1 + p2, p7 = p3 + p8, r5 + r7 = 0: balanced cross pairs."""
+    mt = RESOLUTION
+    delta1, delta5 = p1 - p2, p5 - p6
+    delta = (delta1 + delta5) / 2.0
+    w34, w78 = (p5 + p6) / 2.0 - p3 / 2.0, (p7 + p8) / 2.0 - p3 / 2.0
+    flag = ((p4 <= mt) & (abs(p3 - p1 - p2) <= mt) & (abs(p7 - p3 - p8) <= mt)
+            & (abs(delta1 - delta5) <= mt) & (abs(delta) <= p3 + mt)
+            & (w34 >= -mt) & (w78 >= -mt))
+    return flag, p3, delta, w34, w78
+
+
+def _branch_cat3(p1, p2, p3, p4, p5, p6, p7, p8):
+    """p1 + p3 = 1/2, four equal splits s >= 0, p5 = p7, p6 = p8 (r5 = r6)."""
+    mt = RESOLUTION
+    splits = (p1 - p2, p3 - p4, p5 + p6, p7 + p8)
+    s = (splits[0] + splits[1] + splits[2] + splits[3]) / 4.0
+    w12, w34 = (p1 + p2 - s) / 2.0, (p3 + p4 - s) / 2.0
+    flag = ((abs(p1 + p3 - 0.5) <= mt) & (abs(splits[0] - s) <= mt)
+            & (abs(splits[1] - s) <= mt) & (abs(splits[2] - s) <= mt)
+            & (abs(splits[3] - s) <= mt) & (s >= -mt)
+            & (abs(p5 - p7) <= mt) & (abs(p6 - p8) <= mt) & (w12 >= -mt) & (w34 >= -mt))
+    return flag, s, p5 - p6, w12, w34
 
 
 def _match_patterns(p1, p2, p3, p4, p5, p6, p7, p8):
     """The one pattern test of every certificate family, within RESOLUTION.
 
     Returns five flags in the order of _BUILDERS: one pair zero, three
-    pairs equal, and the category-1, -2 and -3 branches.  The body uses
-    only arithmetic, abs, comparisons, & and |, so it takes either eight
-    floats (one state, five bools) or eight (n,) columns (n states, five
-    bool arrays), and a row gets the same flags alone as inside a batch.
-    A builder turns every state its flag accepts into a certificate.
+    pairs equal, and the category-1, -2 and -3 branches, whose flags come
+    from _branch_cat1/2/3.  The body uses only arithmetic, abs,
+    comparisons, & and |, so it takes either eight floats (one state, five
+    bools) or eight (n,) columns (n states, five bool arrays), and a row
+    gets the same flags alone as inside a batch.  A builder turns every
+    state its flag accepts into a certificate.
     """
     mt = RESOLUTION
     pairs = ((p1, p2), (p3, p4), (p5, p6), (p7, p8))
@@ -218,31 +256,8 @@ def _match_patterns(p1, p2, p3, p4, p5, p6, p7, p8):
         case1 = case1 | ((a <= mt) & (b <= mt) & rest_equal)
         case2 = case2 | (rest_equal & (diffs[k] <= room[m1]) & (diffs[k] <= room[m2])
                          & (diffs[k] <= room[m3]))
-    # p2 = p4 = 0, p1 = p3, r5 = r6, nonnegative basis-state weights.
-    u = (p1 + p3) / 2.0
-    gamma5, gamma7 = (p5 - p6) / 2.0, (p7 - p8) / 2.0
-    cat1 = ((p2 <= mt) & (p4 <= mt) & (abs(p1 - p3) <= mt) & (abs(gamma5 - gamma7) <= mt)
-            & (abs(gamma5 + gamma7) <= u + mt)
-            & ((p5 + p6) / 2.0 - u / 2.0 >= -mt) & ((p7 + p8) / 2.0 - u / 2.0 >= -mt))
-    # p4 = 0, p3 = p1 + p2, p7 = p3 + p8, r5 + r7 = 0, nonnegative weights.
-    delta1, delta5 = p1 - p2, p5 - p6
-    cat2 = ((p4 <= mt) & (abs(p3 - p1 - p2) <= mt) & (abs(p7 - p3 - p8) <= mt)
-            & (abs(delta1 - delta5) <= mt) & (abs((delta1 + delta5) / 2.0) <= p3 + mt)
-            & ((p5 + p6) / 2.0 - p3 / 2.0 >= -mt) & ((p7 + p8) / 2.0 - p3 / 2.0 >= -mt))
-    # p1 + p3 = 1/2, four equal splits s >= 0, p5 = p7, p6 = p8.
-    splits = (p1 - p2, p3 - p4, p5 + p6, p7 + p8)
-    s = _mean_split(p1, p2, p3, p4, p5, p6, p7, p8)
-    cat3 = ((abs(p1 + p3 - 0.5) <= mt) & (abs(splits[0] - s) <= mt)
-            & (abs(splits[1] - s) <= mt) & (abs(splits[2] - s) <= mt)
-            & (abs(splits[3] - s) <= mt) & (s >= -mt)
-            & (abs(p5 - p7) <= mt) & (abs(p6 - p8) <= mt)
-            & ((p1 + p2 - s) / 2.0 >= -mt) & ((p3 + p4 - s) / 2.0 >= -mt))
-    return case1, case2, cat1, cat2, cat3
-
-
-def _mean_split(p1, p2, p3, p4, p5, p6, p7, p8):
-    """The category-3 split s: the mean of p1 - p2, p3 - p4, p5 + p6 and p7 + p8."""
-    return ((p1 - p2) + (p3 - p4) + (p5 + p6) + (p7 + p8)) / 4.0
+    p = (p1, p2, p3, p4, p5, p6, p7, p8)
+    return case1, case2, _branch_cat1(*p)[0], _branch_cat2(*p)[0], _branch_cat3(*p)[0]
 
 
 def _build_case1(p: np.ndarray):
@@ -287,71 +302,37 @@ def _build_case2(p: np.ndarray):
     return "three pairs equal", terms
 
 
-def _basis_terms(weighted_states):
-    return [CertTerm(w, f"basis state {name}", _basis_projector(idx))
-            for w, idx, name in weighted_states if w > 0.0]
+def _build_branch(branch, name, axis, mix, states, p: np.ndarray):
+    """A category branch's certificate: its equatorial mixture, then its basis states.
 
-
-def _build_branch_cat1(p: np.ndarray):
-    """p2 = p4 = 0, p1 = p3, equal pair-3/pair-4 imbalance (r5 = r6)."""
-    u = (p[0] + p[2]) / 2.0
-    gamma = ((p[4] - p[5]) / 2.0 + (p[6] - p[7]) / 2.0) / 2.0
+    The weight of the i-th pair of basis states in `states` is the
+    branch's i-th basis-state weight.
+    """
+    _, mass, cos_num, *weights = branch(*p)
     terms = []
-    if u > 0.0:
-        t = min(1.0, max(-1.0, 2.0 * gamma / u))
+    if mass > 0.0:
+        t = min(1.0, max(-1.0, cos_num / mass))
         phi0 = math.acos(t) / 2.0
-        terms.append(CertTerm(4.0 * u,
-                              f"equatorial product average (z-antialigned 1-2, phi0={phi0:.6g})",
-                              _equatorial_mix_a(phi0)))
-    w34 = (p[4] + p[5]) / 2.0 - u / 2.0
-    w78 = (p[6] + p[7]) / 2.0 - u / 2.0
-    terms += _basis_terms(((w34, 2, "|010>"), (w34, 5, "|101>"),
-                           (w78, 3, "|011>"), (w78, 4, "|100>")))
-    return "category-1 branch (r5 = r6)", terms
+        terms.append(CertTerm(4.0 * mass, f"equatorial product average ({axis}, phi0={phi0:.6g})",
+                              _equatorial_mix(phi0, *mix)))
+    terms += [CertTerm(w, f"basis state |{idx:03b}>", _basis_projector(idx))
+              for w, pair in zip(weights, states) for idx in pair if w > 0.0]
+    return name, terms
 
 
-def _build_branch_cat2(p: np.ndarray):
-    """p4 = 0, p3 = p1 + p2, p7 = p3 + p8, balanced cross pairs (r5 + r7 = 0)."""
-    q3 = p[2]
-    delta = ((p[0] - p[1]) + (p[4] - p[5])) / 2.0
-    terms = []
-    if q3 > 0.0:
-        t = min(1.0, max(-1.0, delta / q3))
-        phi0 = math.acos(t) / 2.0
-        terms.append(CertTerm(4.0 * q3,
-                              f"equatorial product average (x-aligned qubit 2, phi0={phi0:.6g})",
-                              _equatorial_mix_b(phi0)))
-    w34 = (p[4] + p[5]) / 2.0 - q3 / 2.0
-    w78 = (p[6] + p[7]) / 2.0 - q3 / 2.0
-    terms += _basis_terms(((w34, 2, "|010>"), (w34, 5, "|101>"),
-                           (w78, 3, "|011>"), (w78, 4, "|100>")))
-    return "category-2 branch (r5 + r7 = 0)", terms
-
-
-def _build_branch_cat3(p: np.ndarray):
-    """Boundary family p1 + p3 = 1/2 with p5 = p7, p6 = p8 (r5 = r6)."""
-    s = _mean_split(*p)
-    terms = []
-    if s > 0.0:
-        t = min(1.0, max(-1.0, (p[4] - p[5]) / s))
-        phi0 = math.acos(t) / 2.0
-        # Qubits 1, 2 z-aligned (theta2 = theta1): at theta = pi/2 this is mix a.
-        terms.append(CertTerm(4.0 * s,
-                              f"equatorial product average (z-aligned 1-2, phi0={phi0:.6g})",
-                              _equatorial_mix_a(phi0)))
-    w12 = (p[0] + p[1] - s) / 2.0
-    w34 = (p[2] + p[3] - s) / 2.0
-    terms += _basis_terms(((w12, 0, "|000>"), (w12, 7, "|111>"),
-                           (w34, 1, "|001>"), (w34, 6, "|110>")))
-    return "category-3 branch (r5 = r6)", terms
-
-
+# Per category branch: its function, certificate name, axis text, the
+# (qubit, sign) of its equatorial mixture, and the basis states weighted
+# by each of its two weights.  Category 3 has qubits 1, 2 z-aligned
+# (theta2 = theta1); at theta = pi/2 that is category 1's mixture.
 _BUILDERS = (
     _build_case1,
     _build_case2,
-    _build_branch_cat1,
-    _build_branch_cat2,
-    _build_branch_cat3,
+    partial(_build_branch, _branch_cat1, "category-1 branch (r5 = r6)", "z-antialigned 1-2",
+            (2, -1), ((2, 5), (3, 4))),
+    partial(_build_branch, _branch_cat2, "category-2 branch (r5 + r7 = 0)",
+            "x-aligned qubit 2", (3, 1), ((2, 5), (3, 4))),
+    partial(_build_branch, _branch_cat3, "category-3 branch (r5 = r6)", "z-aligned 1-2",
+            (2, -1), ((0, 7), (1, 6))),
 )
 
 

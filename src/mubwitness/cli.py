@@ -517,7 +517,7 @@ def cmd_region(args) -> int:
         with open(args.out, "wb") as fh:
             fh.write(header)
             _write_rows(fh, len(i), fields)
-        if args.svg:
+        if args.svg is not None:
             write_region_svg(args.svg, columns, args.grid)
     except OSError as exc:
         return _error(exc)
@@ -684,7 +684,10 @@ def cmd_verify(args) -> int:
         return _error("--n must be at least 1")
     failures = 0
     for name in list(_SUITES) if args.suite == "all" else [args.suite]:
-        ok, detail = _SUITES[name](args)
+        try:
+            ok, detail = _SUITES[name](args)
+        except MemoryError as exc:  # numpy refuses an --n whose arrays cannot fit at once
+            return _error(f"--n {args.n} is too large: {exc}")
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
     return 1 if failures else 0

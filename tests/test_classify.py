@@ -1,7 +1,9 @@
 """Verdict pipeline: categories, detection, and separable certificates."""
 
+import hashlib
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +230,28 @@ def test_certificate_terms_separable_ppt():
                 t = ppt.partial_transpose(term.matrix, q)
                 assert np.linalg.eigvalsh(t).min() >= -1e-12, (name, term.description)
     assert set(seen) == set(SEPARABLE_CONSTRUCTORS)
+
+
+CERTIFICATE_DIGEST = Path(__file__).parent / "data" / "classify" / "certificates-300.sha256"
+
+
+def test_certificates_match_golden_digest():
+    # 300 seeded draws per separable family: per certificate its construction,
+    # the bits of its reconstruction error, and each term's weight bits,
+    # description, matrix dtype, shape and bytes, all in one SHA-256.
+    digest = hashlib.sha256()
+    for k, fn in enumerate(SEPARABLE_CONSTRUCTORS.values()):
+        rng = np.random.default_rng(k)
+        for _ in range(300):
+            cert = certify_separable(fn(rng))
+            digest.update(cert.construction.encode() + b"\0")
+            digest.update(np.float64(cert.reconstruction_error).tobytes())
+            for term in cert.terms:
+                digest.update(np.float64(term.weight).tobytes())
+                digest.update(term.description.encode() + b"\0")
+                m = term.matrix
+                digest.update(f"{m.dtype.str}{m.shape}".encode() + m.tobytes())
+    assert digest.hexdigest() == CERTIFICATE_DIGEST.read_text().strip()
 
 
 # --- classify pipeline -------------------------------------------------------

@@ -476,6 +476,7 @@ def test_region_bad_plane_exit_2(tmp_path):
 @pytest.mark.parametrize("command", [
     ["region", "--plane", "p1p2", "--grid", "4", "--out", "{missing}"],
     ["region", "--plane", "p1p2", "--grid", "4", "--out", "{ok}", "--svg", "{missing}"],
+    ["region", "--plane", "p1p2", "--grid", "4", "--out", "{ok}", "--svg", ""],
     ["sample", "--n", "10", "--out", "{missing}"],
     ["sample", "--n", "10", "--out", ""],
 ])
@@ -505,6 +506,15 @@ def test_region_grid_too_large_for_memory_exit_2(tmp_path, plane):
     assert len(lines) == 1, res.stderr
     assert lines[0].startswith("error: --grid 100000000 is too large"), res.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_verify_n_too_large_for_memory_exit_2():
+    # 8 * 10^11 floats: numpy refuses the oracle suite's first array at once.
+    res = run_cli(["verify", "--suite", "oracle", "--n", "100000000000"])
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert lines[0].startswith("error: --n 100000000000 is too large"), res.stderr
 
 
 def test_region_samples_on_the_triangle_exit_2(tmp_path):
