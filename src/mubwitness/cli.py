@@ -436,21 +436,24 @@ def _cell_tally(plane, grid, i, j, samples, seed, tol):
 
 
 def region_cat1_triangle(grid: int, tol: float = 1e-9):
-    """Classify the triangular family over the (p1, p2) lattice in one batch.
+    """Classify the triangular family over the (p1, p2) lattice, BLOCK_SIZE points at a time.
 
     Columns over the (grid + 1)^2 points (i/grid, j/grid), j major: i, j,
     p1, p2, status (a verdict, or "invalid" where p1 + p2 > 1), witness
-    (label, "" unless detected) and value (NaN unless detected).
+    (label, "" unless detected) and value (NaN unless detected).  Only the
+    columns grow with the lattice; the states and the classifier's
+    workspace are one block's.
     """
     i, j = _lattice(grid + 1)
     coord = np.arange(grid + 1) / grid
     p1, p2 = coord[i], coord[j]
-    valid = p1 + p2 <= 1.0 + pauli.RESOLUTION
+    valid = np.flatnonzero(p1 + p2 <= 1.0 + pauli.RESOLUTION)
     status = np.full(i.shape, "invalid", dtype=object)
     labels = np.full(i.shape, "", dtype=object)
     values = np.full(i.shape, np.nan)
-    status[valid], labels[valid], values[valid] = classify_batch(
-        cat1_special_batch(p1[valid], p2[valid]), tol=tol)
+    for lo in range(0, len(valid), BLOCK_SIZE):
+        k = valid[lo:lo + BLOCK_SIZE]
+        status[k], labels[k], values[k] = classify_batch(cat1_special_batch(p1[k], p2[k]), tol=tol)
     return {"i": i, "j": j, "p1": p1, "p2": p2,
             "status": status, "witness": labels, "value": values}
 
@@ -461,8 +464,8 @@ _SVG_COLORS = {VERDICT_BOUND: "#cc3311", VERDICT_SEPARABLE: "#228833",
                VERDICT_UNDECIDED: "#4477aa", 1: "#4477aa"}
 
 
-def write_region_svg(path: str, columns, grid: int) -> None:
-    """Minimal vector-graphic rendering of a region scan (one rect per coloured cell)."""
+def write_region_svg(fh, columns, grid: int) -> None:
+    """Write a region scan to the text file fh as a minimal SVG, one rect per coloured cell."""
     size = 800
     cell = size / grid
     xs = [f"{k * cell:.2f}" for k in range(grid + 1)]
@@ -476,8 +479,7 @@ def write_region_svg(path: str, columns, grid: int) -> None:
             parts.append(f'<rect x="{xs[i]}" y="{ys[j]}" width="{side}" '
                          f'height="{side}" fill="{fill}"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    fh.write("\n".join(parts) + "\n")
 
 
 def cmd_region(args) -> int:
@@ -513,12 +515,13 @@ def cmd_region(args) -> int:
     header = (b"i,j,p1,p2,status,witness,value\n" if triangle else
               b"i,j,x,y,feasible,n_npt,n_bound,n_separable,n_undecided\n" if args.samples else
               b"i,j,x,y,feasible\n")
-    try:
-        with open(args.out, "wb") as fh:
+    try:  # an unusable --svg fails before the CSV is opened
+        with (open(args.svg, "w") if args.svg is not None else nullcontext()) as svg, \
+                open(args.out, "wb") as fh:
             fh.write(header)
             _write_rows(fh, len(i), fields)
-        if args.svg is not None:
-            write_region_svg(args.svg, columns, args.grid)
+            if svg:
+                write_region_svg(svg, columns, args.grid)
     except OSError as exc:
         return _error(exc)
     print(f"wrote {len(i)} rows to {args.out}")
@@ -531,20 +534,27 @@ def cmd_region(args) -> int:
 
 
 def suite_oracle(n: int, seed: int, inject_bug: bool):
-    """Inequality verdicts against the rotation-eigenvalue oracle."""
+    """Inequality verdicts against the rotation-eigenvalue oracle.
+
+    The n states are one draw; the two routes run on BLOCK_SIZE of them at
+    a time, so the oracle's partial transposes are one block's.
+    """
     rng = np.random.default_rng(seed)
     ps = sample_simplex(rng, n)
-    ineq = ppt.ppt_inequalities_batch(ps)
-    if inject_bug:
-        ineq = ineq.copy()
-        ineq[:, 0] = -ineq[:, 0]  # negative control: corrupt one inequality
-    ineq_min = ineq.min(axis=1)
-    eig_min = ppt.pt_min_eigenvalues_batch(ps).min(axis=1)
     tol = 1e-9
-    verdict_match = np.all((ineq_min >= -tol) == (eig_min >= -tol))
-    value_match = float(np.max(np.abs(eig_min - ineq_min / 2.0)))
-    ok = bool(verdict_match and value_match <= tol)
-    return ok, f"n={n} verdict_agree={bool(verdict_match)} max|eig-ineq/2|={value_match:.3e}"
+    verdict_match, gaps = True, []
+    for lo in range(0, n, BLOCK_SIZE):
+        block = ps[lo:lo + BLOCK_SIZE]
+        ineq = ppt.ppt_inequalities_batch(block)
+        if inject_bug:
+            ineq[:, 0] = -ineq[:, 0]  # negative control: corrupt one inequality
+        ineq_min = ineq.min(axis=1)
+        eig_min = ppt.pt_min_eigenvalues_batch(block).min(axis=1)
+        verdict_match &= bool(np.all((ineq_min >= -tol) == (eig_min >= -tol)))
+        gaps.append(np.max(np.abs(eig_min - ineq_min / 2.0)))
+    value_match = float(np.max(gaps))
+    ok = verdict_match and value_match <= tol
+    return ok, f"n={n} verdict_agree={verdict_match} max|eig-ineq/2|={value_match:.3e}"
 
 
 def _envelope_gap(rs: np.ndarray, psis: np.ndarray) -> float:

@@ -22,8 +22,10 @@ same GHZ pair.  A private exact simplex over nonnegative variables solves
 one system, _PPT_SYSTEM (the 24 inequalities and sum p = 1 over the eight
 probabilities), for two cross-checks: support-function hull refinement
 derives the polygons, and one phase 1 per grid cell, with p_a and p_b
-pinned, gives the region cells.  `mubw verify --suite region` and the
-tests run them; a region scan never does.
+pinned, gives the region cells.  Its input is the integer "<=" and "=="
+rows those two build, each with rhs >= 0, so only an equality carries an
+artificial.  `mubw verify --suite region` and the tests run them; a
+region scan never does.
 """
 
 from __future__ import annotations
@@ -264,14 +266,11 @@ def is_ppt(p, tol: float = 1e-9) -> PptReport:
 # Exact linear programming (two-phase simplex, integer pivoting)
 # ---------------------------------------------------------------------------
 
-# The PPT polytope {p >= 0, A p >= 0, sum p = 1} over p_1..p_8, the one
-# system both cross-checks solve; p >= 0 is the bound every _Simplex
-# variable has.  A p >= 0 is written -A p <= 0, so every slack starts basic
-# at level 0 and phase 1 only removes the equalities' artificials.
-_PPT_SYSTEM = tuple(((-row).tolist(), "<=", 0) for row in _INEQ_MATRIX) + (([1] * 8, "==", 1),)
-
-# The relation of a row after both sides are negated.
-_FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
+# The PPT polytope {p >= 0, A p >= 0, sum p = 1} over p_1..p_8 as the
+# (le_rows, eq_rows) both cross-checks solve; p >= 0 is the bound every
+# _Simplex variable has.  A p >= 0 is written -A p <= 0, so every slack
+# starts basic at level 0 and phase 1 only removes the artificial of sum p == 1.
+_PPT_SYSTEM = (tuple(((-row).tolist(), 0) for row in _INEQ_MATRIX), (([1] * 8, 1),))
 
 
 class _Simplex:
@@ -288,46 +287,23 @@ class _Simplex:
     basis the previous call left optimal.
     """
 
-    def __init__(self, constraints, n_vars: int):
-        """The phase-1 tableau of (coefficients, relation, rhs) rows, rhs made >= 0.
+    def __init__(self, le_rows, eq_rows):
+        """The phase-1 tableau of "<=" rows and "==" rows, each (coefficients, rhs).
 
-        Each row is scaled to integers by the lcm of its denominators (a
-        row of Python ints already is, and is only copied), and negated if
-        its rhs is negative.  Columns: the variables, one slack per
-        inequality, one artificial per row, the rhs.  A "<=" row starts on
-        its slack, any other on its artificial.
+        Every coefficient and rhs is a Python int, and every rhs is >= 0.
+        Columns: the variables, one slack per "<=" row, one artificial per
+        "==" row, the rhs.  Each row starts basic on its own slack or
+        artificial, at level rhs.
         """
-        rows = []
-        for coeffs, rel, rhs in constraints:
-            if rel not in _FLIP:
-                raise ValueError(f"unknown relation {rel!r}")
-            ints = [*coeffs, rhs]
-            if len(ints) != n_vars + 1:
-                raise ValueError("constraint arity mismatch")
-            if not all(type(v) is int for v in ints):
-                cf = [Fraction(c) for c in ints]
-                scale = math.lcm(*(f.denominator for f in cf))
-                ints = [int(f * scale) for f in cf]
-            if ints[-1] < 0:
-                ints, rel = [-v for v in ints], _FLIP[rel]
-            rows.append((ints, rel))
-        n_slack = sum(rel != "==" for _, rel in rows)
-        self.n_struct, self.n_cols, self.den = n_vars, n_vars + n_slack + len(rows) + 1, 1
-        self.tab, self.basis, self.art_cols = [], [], []
-        slack = n_vars
-        for i, (ints, rel) in enumerate(rows):
-            row = ints[:-1] + [0] * (self.n_cols - n_vars - 1) + ints[-1:]
-            if rel != "==":
-                row[slack] = 1 if rel == "<=" else -1
-                slack += 1
-            if rel == "<=":
-                self.basis.append(slack - 1)
-            else:
-                art = n_vars + n_slack + i
-                row[art] = 1
-                self.basis.append(art)
-                self.art_cols.append(art)
-            self.tab.append(row)
+        rows = [*le_rows, *eq_rows]
+        n_vars, n_rows = len(rows[0][0]), len(rows)
+        self.n_struct, self.n_cols, self.den = n_vars, n_vars + n_rows + 1, 1
+        self.basis = list(range(n_vars, n_vars + n_rows))  # row i's slack or artificial
+        self.art_cols, self.tab = self.basis[n_rows - len(eq_rows):], []
+        for i, (coeffs, rhs) in enumerate(rows):
+            if len(coeffs) != n_vars or not all(type(v) is int for v in (*coeffs, rhs)) or rhs < 0:
+                raise ValueError(f"row {i} is not {n_vars} ints and an int rhs >= 0")
+            self.tab.append([*coeffs, *(int(k == i) for k in range(n_rows)), rhs])
 
     def _pivot(self, leave: int, enter: int, objectives) -> None:
         row_l = self.tab[leave]
@@ -384,7 +360,7 @@ class _Simplex:
         any nonzero structural or slack entry of its row moves no value; a
         row with no such entry is a redundant equality and is deleted.
         """
-        n_keep = self.n_cols - 1 - len(self.tab)  # artificials follow the slacks
+        n_keep = self.n_cols - 1 - len(self.art_cols)  # artificials follow the slacks
         for i in reversed(range(len(self.tab))):
             if self.basis[i] < n_keep:
                 continue
@@ -480,7 +456,7 @@ def _lp_projection_polygon(plane: tuple[int, int]) -> list[tuple[Fraction, Fract
     8 (triangles) to 10 (quadrilaterals) support queries after phase 1.
     """
     a, b = _check_plane(plane)
-    lp = _Simplex(_PPT_SYSTEM, 8)  # phase 1 removes one artificial: 2 pivots
+    lp = _Simplex(*_PPT_SYSTEM)  # phase 1 removes one artificial: 2 pivots
     if not lp.phase1():
         raise RuntimeError("PPT polytope is empty (cannot happen)")
     lp.drop_artificials()
@@ -514,19 +490,19 @@ def _lp_cells(plane: tuple[int, int], grid: int) -> set[tuple[int, int]]:
     """The cells of `project_region` by one exact LP per cell: the cross-check of the mask.
 
     Cell (i, j) is feasible when _PPT_SYSTEM over all eight probabilities,
-    plus the rows p_a == i/grid and p_b == j/grid, passes phase 1.  The
-    system's rows are integers already; each pin row is written in lowest
-    integer terms, d p_c == n for i/grid = n/d, so no row is converted to
-    Fractions.  No scan runs it: `mubw verify --suite region` and the tests
-    compare it with the mask.
+    plus the equalities p_a == i/grid and p_b == j/grid, passes phase 1.
+    Each pin row is written in lowest integer terms, d p_c == n for
+    i/grid = n/d.  No scan runs it: `mubw verify --suite region` and the
+    tests compare it with the mask.
     """
     a, b = _check_plane(plane)
+    le_rows, eq_rows = _PPT_SYSTEM
     cells = set()
     for j in range(grid):
         for i in range(min(grid, grid - j + 1)):  # the corners with i + j <= grid
-            pin = tuple(([f.denominator * (k == c) for k in range(8)], "==", f.numerator)
+            pin = tuple(([f.denominator * (k == c) for k in range(8)], f.numerator)
                         for c, f in ((a, Fraction(i, grid)), (b, Fraction(j, grid))))
-            if _Simplex(_PPT_SYSTEM + pin, 8).phase1():
+            if _Simplex(le_rows, eq_rows + pin).phase1():
                 cells.add((i, j))
     return cells
 

@@ -272,18 +272,42 @@ def test_csv_witness_labels_quoted(tmp_path):
     _check_quoted_labels(triangle, 17 * 17, "value")
 
 
+def _traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_run_sample_memory_bounded_in_n(tmp_path):
     def peak(n):
-        tracemalloc.start()
-        try:
-            cli.run_sample(n, seed=1, csv_path=str(tmp_path / "mem.csv"))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(lambda: cli.run_sample(n, seed=1, csv_path=str(tmp_path / "mem.csv")))
 
     small = peak(2 * cli.BLOCK_SIZE)
     large = peak(16 * cli.BLOCK_SIZE)
     assert large <= 1.5 * small, (small, large)
+
+
+def test_verify_oracle_memory_bounded_in_n():
+    # The n states are one draw (64 B each); both routes run a block at a time.
+    def peak(n):
+        return _traced_peak(lambda: cli.suite_oracle(n, seed=1, inject_bug=True))
+
+    small = peak(2 * cli.BLOCK_SIZE)
+    large = peak(16 * cli.BLOCK_SIZE)
+    assert large <= 1.5 * small, (small, large)
+
+
+def test_region_cat1_triangle_memory_is_the_columns():
+    # At grid 800 (641 601 points) the returned columns hold about 34 MB;
+    # the states and the classifier's workspace are one block's on top.
+    scan = {}
+    peak = _traced_peak(lambda: scan.update(cli.region_cat1_triangle(800)))
+    columns = sum(column.nbytes for column in scan.values())
+    assert peak <= 3 * columns, (peak, columns)
 
 
 def test_sampler_marginals_uniform():
@@ -392,17 +416,9 @@ def test_region_outputs_match_golden_digests(tmp_path, name, args):
 def test_region_csv_memory_bounded_by_the_chunk(tmp_path):
     # The CSV is written one chunk of rows at a time: at grid 800 (640 000
     # rows) writing it adds at most a few MB to the peak of building the columns.
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    build = peak(lambda: cli._region_plane(cli._PLANES["p1p2"], 800, 0, 0, 1e-9))
-    scan = peak(lambda: cli.main(["region", "--plane", "p1p2", "--grid", "800",
-                                  "--out", str(tmp_path / "mem.csv")]))
+    build = _traced_peak(lambda: cli._region_plane(cli._PLANES["p1p2"], 800, 0, 0, 1e-9))
+    scan = _traced_peak(lambda: cli.main(["region", "--plane", "p1p2", "--grid", "800",
+                                          "--out", str(tmp_path / "mem.csv")]))
     assert scan <= build + 4 * 2 ** 20, (build, scan)
 
 
@@ -487,6 +503,7 @@ def test_unwritable_output_exit_2(tmp_path, command):
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+    assert not (tmp_path / "ok.csv").exists()  # an unusable --svg leaves no CSV behind
 
 
 def test_region_negative_samples_exit_2(tmp_path):

@@ -1,5 +1,6 @@
 """PPT inequalities, the eigenvalue oracle, exact LP, and region scans."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -351,44 +352,69 @@ def test_ppt_convexity():
 
 
 def test_lp_trivial_cases():
-    assert ppt._Simplex([([1], ">=", 0), ([1], "<=", 1)], 1).phase1()
-    assert not ppt._Simplex([([1], ">=", 1), ([1], "<=", 0)], 1).phase1()
-    assert ppt._Simplex([([1, 1], "==", 1), ([1, -1], "==", 0)], 2).phase1()
-    assert not ppt._Simplex([([1, 1], "==", 1), ([1, 1], "==", 2)], 2).phase1()
+    # x <= 1 with x - s == 0 (x >= 0 with surplus s), then x >= 1 with x <= 0.
+    assert ppt._Simplex([([1, 0], 1)], [([1, -1], 0)]).phase1()
+    assert not ppt._Simplex([([1, 0], 0)], [([1, -1], 1)]).phase1()
+    assert ppt._Simplex([], [([1, 1], 1), ([1, -1], 0)]).phase1()
+    assert not ppt._Simplex([], [([1, 1], 1), ([1, 1], 2)]).phase1()
 
 
 def test_lp_variables_are_nonnegative():
-    # Feasible only with a negative coordinate, which no variable may take.
-    assert not ppt._Simplex([([1], "<=", -3)], 1).phase1()
+    # -x - s == 3 (x <= -3 with surplus s) holds only with a negative coordinate.
+    assert not ppt._Simplex([], [([-1, -1], 3)]).phase1()
+
+
+def test_lp_takes_integer_rows_with_one_artificial_per_equality():
+    # The PPT system: 8 variables, 24 slacks, the artificial of sum p == 1, the rhs.
+    assert ppt._Simplex(*ppt._PPT_SYSTEM).n_cols == 34
+    for le_rows, eq_rows in (([([1, 2], -1)], []), ([([1, 2], 1)], [([1, 2, 3], 1)]),
+                             ([([Fraction(1, 2), 1], 1)], []), ([], [([1, 1], 0.5)])):
+        with pytest.raises(ValueError):
+            ppt._Simplex(le_rows, eq_rows)
 
 
 def test_lp_point_satisfies_constraints():
-    cons = [([2, 1], "<=", 4), ([1, 3], ">=", 3), ([1, -1], "==", Fraction(1, 2))]
-    lp = ppt._Simplex(cons, 2)
+    # 2x + y <= 4, x + 3y - s == 3 (x + 3y >= 3 with surplus s), 2x - 2y == 1.
+    lp = ppt._Simplex([([2, 1, 0], 4)], [([1, 3, -1], 3), ([2, -2, 0], 1)])
     assert lp.phase1()
-    x, y = lp.point()
-    assert 2 * x + y <= 4 and x + 3 * y >= 3 and x - y == Fraction(1, 2)
+    x, y, s = lp.point()
+    assert 2 * x + y <= 4 and x + 3 * y >= 3 and x - y == Fraction(1, 2) and s >= 0
+
+
+def _linprog_system(le_rows, eq_rows, n):
+    """The same system as keyword arguments of scipy's linprog."""
+    def split(rows):
+        return [c for c, _ in rows] or None, [r for _, r in rows] or None
+
+    (a_ub, b_ub), (a_eq, b_eq) = split(le_rows), split(eq_rows)
+    return dict(A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * n)
+
+
+def _random_rows(rng, n, m, le_share):
+    """m rows, each "<=" with odds le_share, else "==": coefficients in -3..3, rhs in 0..3."""
+    le_rows, eq_rows = [], []
+    for is_le in rng.random(size=m) < le_share:
+        row = (rng.integers(-3, 4, size=n).tolist(), int(rng.integers(0, 4)))
+        (le_rows if is_le else eq_rows).append(row)
+    return le_rows, eq_rows
 
 
 def test_lp_matches_scipy_on_random_systems():
     from scipy.optimize import linprog
 
     rng = np.random.default_rng(6)
-    agree = 0
+    agree, verdicts = 0, set()
     for _ in range(60):
         n = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 7))
-        a = rng.integers(-3, 4, size=(m, n))
-        b = rng.integers(-3, 4, size=m)
-        cons = [(row.tolist(), "<=", int(rhs)) for row, rhs in zip(a, b)]
-        mine = ppt._Simplex(cons, n).phase1()
-        res = linprog(np.zeros(n), A_ub=a, b_ub=b, bounds=[(0, None)] * n,
-                      method="highs")
+        le_rows, eq_rows = _random_rows(rng, n, int(rng.integers(2, 7)), 0.5)
+        mine = ppt._Simplex(le_rows, eq_rows).phase1()
+        res = linprog(np.zeros(n), method="highs", **_linprog_system(le_rows, eq_rows, n))
         # skip scipy borderline numerical cases; exact answers are authoritative
         if res.status in (0, 2):
             assert mine == (res.status == 0)
             agree += 1
-    assert agree >= 50
+            verdicts.add(mine)
+    assert agree >= 50 and verdicts == {True, False}
 
 
 def test_lp_maximise_matches_scipy_on_random_systems():
@@ -398,21 +424,13 @@ def test_lp_maximise_matches_scipy_on_random_systems():
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(80):
         n = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 6))
-        cons = [(rng.integers(-3, 4, size=n).tolist(), str(rel), int(rng.integers(-3, 4)))
-                for rel in rng.choice(["<=", ">=", "=="], size=m, p=[0.5, 0.25, 0.25])]
+        le_rows, eq_rows = _random_rows(rng, n, int(rng.integers(2, 6)), 0.75)
         if rng.integers(2):  # a box bounds every objective
-            cons += [([s * int(k == j) for k in range(n)], "<=", 4)
-                     for j in range(n) for s in (1, -1)]
+            le_rows += [([s * int(k == j) for k in range(n)], 4) for j in range(n) for s in (1, -1)]
         if rng.integers(2):  # a redundant row: the same equality twice
-            cons += [(rng.integers(-2, 3, size=n).tolist(), "==", int(rng.integers(-2, 3)))] * 2
-        ub = [(c, r) if rel == "<=" else ([-v for v in c], -r)
-              for c, rel, r in cons if rel != "=="]
-        eq = [(c, r) for c, rel, r in cons if rel == "=="]
-        system = dict(A_ub=[c for c, _ in ub] or None, b_ub=[r for _, r in ub] or None,
-                      A_eq=[c for c, _ in eq] or None, b_eq=[r for _, r in eq] or None,
-                      bounds=[(0, None)] * n)
-        lp = ppt._Simplex(cons, n)
+            eq_rows += [(rng.integers(-2, 3, size=n).tolist(), int(rng.integers(0, 3)))] * 2
+        system = _linprog_system(le_rows, eq_rows, n)
+        lp = ppt._Simplex(le_rows, eq_rows)
         feasible = lp.phase1()
         if feasible:
             lp.drop_artificials()
@@ -424,7 +442,7 @@ def test_lp_maximise_matches_scipy_on_random_systems():
                 statuses["infeasible"] += 1
                 break
             value = lp.maximise(c.tolist())
-            cold = ppt._Simplex(cons, n)
+            cold = ppt._Simplex(le_rows, eq_rows)
             assert cold.phase1()
             cold.drop_artificials()
             assert cold.maximise(c.tolist()) == value
@@ -435,19 +453,20 @@ def test_lp_maximise_matches_scipy_on_random_systems():
             assert res.status == 0 and abs(float(value) + res.fun) < 1e-9
             x = lp.point()
             assert sum(int(ci) * xi for ci, xi in zip(c, x)) == value
-            for coeffs, rel, rhs in cons:
-                lhs = sum(ci * xi for ci, xi in zip(coeffs, x))
-                assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[rel]
+            for rows, holds in ((le_rows, operator.le), (eq_rows, operator.eq)):
+                for coeffs, rhs in rows:
+                    assert holds(sum(ci * xi for ci, xi in zip(coeffs, x)), rhs)
             assert min(x) >= 0
             statuses["optimal"] += 1
     assert min(statuses.values()) >= 10, statuses
 
 
 def test_lp_maximise_after_negative_drive_out_pivot():
-    # The feasible set is the point x = 0; phase 1 leaves artificials at
-    # level 0 whose rows can only be pivoted out on negative entries, and
+    # The feasible set is the point x = 0: 2x <= 2 and -2x - s == 0 (-2x >= 0
+    # with surplus s), each twice.  Phase 1 leaves the equalities'
+    # artificials basic at level 0 in rows whose other entries are all
+    # negative, so they can only be pivoted out on a negative entry, and
     # every pivot must keep the common denominator positive.
-    cons = [([-2], ">=", 0), ([2], "<=", 2)] * 2
     pivots = []
 
     class RecordingSimplex(ppt._Simplex):
@@ -456,23 +475,25 @@ def test_lp_maximise_after_negative_drive_out_pivot():
             super()._pivot(leave, enter, objectives)
             assert self.den > 0
 
-    lp = RecordingSimplex(cons, 1)
+    lp = RecordingSimplex([([2, 0], 2)] * 2, [([-2, -1], 0)] * 2)
     assert lp.phase1()
     n_phase1 = len(pivots)
     lp.drop_artificials()
     assert min(pivots[n_phase1:]) < 0  # the drive-out branch ran
     for c in ([1], [-1], [3]):
         assert lp.maximise(c) == 0
-        assert lp.point() == [0]
+        assert lp.point() == [0, 0]
 
 
 def test_lp_projection_example():
-    def pinned(x, y):  # the PPT system with (p1, p2) = (x, y)
-        return ppt._PPT_SYSTEM + (([1, 0, 0, 0, 0, 0, 0, 0], "==", x),
-                                  ([0, 1, 0, 0, 0, 0, 0, 0], "==", y))
+    le_rows, eq_rows = ppt._PPT_SYSTEM
 
-    assert ppt._Simplex(pinned(Fraction(3, 10), Fraction(1, 10)), 8).phase1()
-    assert not ppt._Simplex(pinned(Fraction(3, 10), Fraction(0)), 8).phase1()
+    def pinned(d1, n1, d2, n2):  # the PPT system with d1 p1 == n1 and d2 p2 == n2
+        pins = (([d1, 0, 0, 0, 0, 0, 0, 0], n1), ([0, d2, 0, 0, 0, 0, 0, 0], n2))
+        return ppt._Simplex(le_rows, eq_rows + pins)
+
+    assert pinned(10, 3, 10, 1).phase1()  # (p1, p2) = (3/10, 1/10)
+    assert not pinned(10, 3, 1, 0).phase1()  # (p1, p2) = (3/10, 0)
 
 
 # --- region projections -----------------------------------------------------
