@@ -16,7 +16,9 @@ of rows.  The sample CSV carries each probability as `'%.17g' % p`: the
 bytes come from an exact integer kernel on numpy columns (`_g17_fields`),
 and Python formats only the values outside its range [1e-9, 1) and the
 detected rows' witness labels and values.  A region scan formats each
-lattice index's integer and coordinate once and gathers them by index.
+lattice index's integer and coordinate once and gathers them by index; a
+plane scan keeps only its boolean mask and derives each chunk's i, j and
+feasible columns from the chunk's row range.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -401,38 +404,48 @@ def _lattice(n: int):
 
 
 def _region_plane(plane, grid, samples, seed, tol):
-    """The PPT region on a coordinate plane as columns over the grid x grid cells.
+    """The PPT region on a coordinate plane: its (grid, grid) mask and, with samples, tallies.
 
-    Columns i, j and feasible (0 or 1); with samples, also "tally": each
+    The mask is `ppt.region_mask`, indexed [j, i].  The tallies are each
     cell's (NPT, bound, separable, undecided) counts of `samples` seeded
-    states, zero off the region.
+    states, shape (grid * grid, 4) by cell index j * grid + i and zero off
+    the region; None without samples.  The feasible cells are classified
+    in blocks of whole cells holding at least BLOCK_SIZE states.
     """
-    i, j = _lattice(grid)
-    feasible = ppt.region_mask(plane, grid).ravel().astype(np.int64)
-    columns = {"i": i, "j": j, "feasible": feasible}
-    if samples:
-        tally = np.zeros((grid * grid, 4), dtype=np.int64)
-        for k in np.flatnonzero(feasible).tolist():
-            tally[k] = _cell_tally(plane, grid, k % grid, k // grid, samples, seed, tol)
-        columns["tally"] = tally
-    return columns
+    mask = ppt.region_mask(plane, grid)
+    if not samples:
+        return mask, None
+    cells = np.flatnonzero(mask)
+    tally = np.zeros((grid * grid, 4), dtype=np.int64)
+    per_block = -(-BLOCK_SIZE // samples)
+    for lo in range(0, len(cells), per_block):
+        k = cells[lo:lo + per_block]
+        tally[k] = _cell_tallies(plane, grid, k, samples, seed, tol)
+    return mask, tally
 
 
-def _cell_tally(plane, grid, i, j, samples, seed, tol):
+def _cell_tallies(plane, grid, cells, samples, seed, tol):
+    """Each cell's verdict counts, shape (len(cells), 4), from one classify_batch.
+
+    Cell j * grid + i pins p_a = i / grid and p_b = j / grid and spreads the
+    rest over the six other probabilities as normalised exponentials from
+    its own stream, SeedSequence((seed, i * grid + j + 1)), so its states
+    do not depend on the cells that share its block.
+    """
     a, b = plane
-    rng = np.random.default_rng(np.random.SeedSequence((seed, i * grid + j + 1)))
-    x, y = i / grid, j / grid
-    rest = 1.0 - x - y
-    free = [k for k in range(8) if k not in (a, b)]
-    ps = np.zeros((samples, 8))
-    w = rng.exponential(1.0, size=(samples, 6))
-    w = w / w.sum(axis=1, keepdims=True) * rest
-    ps[:, free] = w
-    ps[:, a] = x
-    ps[:, b] = y
-    verdicts, _, _ = classify_batch(ps, tol=tol)
-    return [np.count_nonzero(verdicts == v)
-            for v in (VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED)]
+    j, i = np.divmod(cells, grid)
+    w = np.concatenate([
+        np.random.default_rng(np.random.SeedSequence((seed, stream))).exponential(
+            1.0, size=(samples, 6)) for stream in (i * grid + j + 1).tolist()])
+    x, y = np.repeat(i / grid, samples), np.repeat(j / grid, samples)
+    ps = np.empty((len(w), 8))
+    ps[:, [k for k in range(8) if k not in plane]] = (
+        w / w.sum(axis=1, keepdims=True) * (1.0 - x - y)[:, None])
+    ps[:, a], ps[:, b] = x, y
+    verdicts = classify_batch(ps, tol=tol)[0].reshape(-1, samples)
+    return np.stack([np.count_nonzero(verdicts == v, axis=1)
+                     for v in (VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED)],
+                    axis=1)
 
 
 def region_cat1_triangle(grid: int, tol: float = 1e-9):
@@ -458,28 +471,38 @@ def region_cat1_triangle(grid: int, tol: float = 1e-9):
             "status": status, "witness": labels, "value": values}
 
 
+@functools.lru_cache(maxsize=8)
+def _lattice_text(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Byte tables of each lattice index k <= grid: its integer and its coordinate k / grid.
+
+    Formatted once per grid and read-only, since every scan of the grid
+    shares them through the cache.
+    """
+    ints = _table([str(k) for k in range(grid + 1)])
+    coords = _table([_fmt(k / grid) for k in range(grid + 1)])
+    ints.setflags(write=False)
+    coords.setflags(write=False)
+    return ints, coords
+
+
 # The fill of a triangle point by status, or of a plane cell whose feasible
 # flag is 1; other cells are left blank.
 _SVG_COLORS = {VERDICT_BOUND: "#cc3311", VERDICT_SEPARABLE: "#228833",
                VERDICT_UNDECIDED: "#4477aa", 1: "#4477aa"}
 
 
-def write_region_svg(fh, columns, grid: int) -> None:
-    """Write a region scan to the text file fh as a minimal SVG, one rect per coloured cell."""
+def write_region_svg(fh, fills, grid: int) -> None:
+    """Write a region scan to the text file fh as a minimal SVG: a rect per (i, j, fill)."""
     size = 800
     cell = size / grid
     xs = [f"{k * cell:.2f}" for k in range(grid + 1)]
     ys = [f"{size - (k + 1) * cell:.2f}" for k in range(grid + 1)]
     side = f"{cell:.2f}"
-    keys = columns["status"] if "status" in columns else columns["feasible"].tolist()
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-             f'viewBox="0 0 {size} {size}">']
-    for i, j, key in zip(columns["i"].tolist(), columns["j"].tolist(), keys):
-        if fill := _SVG_COLORS.get(key):
-            parts.append(f'<rect x="{xs[i]}" y="{ys[j]}" width="{side}" '
-                         f'height="{side}" fill="{fill}"/>')
-    parts.append("</svg>")
-    fh.write("\n".join(parts) + "\n")
+    fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+             f'viewBox="0 0 {size} {size}">\n')
+    fh.writelines(f'<rect x="{xs[i]}" y="{ys[j]}" width="{side}" height="{side}" fill="{fill}"/>\n'
+                  for i, j, fill in fills)
+    fh.write("</svg>\n")
 
 
 def cmd_region(args) -> int:
@@ -487,44 +510,56 @@ def cmd_region(args) -> int:
         return _error("--grid must be at least 2")
     if args.samples < 0:
         return _error("--samples must be at least 0")
-    triangle = args.plane == "cat1-triangle"
+    grid, triangle = args.grid, args.plane == "cat1-triangle"
     if triangle and args.samples:
         return _error("--samples applies to the coordinate planes, not cat1-triangle")
-    try:
-        columns = (region_cat1_triangle(args.grid, tol=args.tol) if triangle else
-                   _region_plane(_PLANES[args.plane], args.grid, args.samples, args.seed, args.tol))
+    try:  # every array is built before any file is opened
+        if triangle:
+            columns = region_cat1_triangle(grid, tol=args.tol)
+        else:
+            mask, tally = _region_plane(_PLANES[args.plane], grid, args.samples, args.seed,
+                                        args.tol)
     except MemoryError as exc:  # numpy refuses a grid whose arrays cannot fit at once
-        return _error(f"--grid {args.grid} is too large: {exc}")
-    # Each lattice index's integer and coordinate, formatted once; a
-    # feasible flag (0 or 1) is its own index's integer.
-    i, j, feasible = columns["i"], columns["j"], columns.get("feasible")
-    ints = _table([str(k) for k in range(args.grid + 1)])
-    coords = _table([_fmt(k / args.grid) for k in range(args.grid + 1)])
+        return _error(f"--grid {grid} is too large: {exc}")
+    ints, coords = _lattice_text(grid)  # a feasible flag (0 or 1) is its own index's integer
+    side = grid + 1 if triangle else grid  # lattice points per row, j major
 
     def fields(c):
-        cells = [ints[i[c]], ints[j[c]], coords[i[c]], coords[j[c]]]
+        j, i = np.divmod(np.arange(c.start, c.stop), side)
+        cells = [ints[i], ints[j], coords[i], coords[j]]
         if triangle:
             return cells + _verdict_fields(columns["status"][c], columns["witness"][c],
                                            columns["value"][c])
-        cells.append(ints[feasible[c]])
-        if args.samples:   # tallies are empty off the region
-            cells += [_digits(t, len(str(args.samples))) * (feasible[c, None] == 1)
-                      for t in columns["tally"][c].T]
+        feasible = mask.ravel()[c]
+        cells.append(ints[feasible.astype(np.intp)])
+        if tally is not None:   # tallies are empty off the region
+            cells += [_digits(t, len(str(args.samples))) * feasible[:, None] for t in tally[c].T]
         return cells
 
-    header = (b"i,j,p1,p2,status,witness,value\n" if triangle else
-              b"i,j,x,y,feasible,n_npt,n_bound,n_separable,n_undecided\n" if args.samples else
-              b"i,j,x,y,feasible\n")
+    if triangle:
+        header = b"i,j,p1,p2,status,witness,value\n"
+        fills = ((i, j, _SVG_COLORS[s]) for i, j, s in
+                 zip(columns["i"].tolist(), columns["j"].tolist(), columns["status"])
+                 if s in _SVG_COLORS)
+    else:
+        header = (b"i,j,x,y,feasible,n_npt,n_bound,n_separable,n_undecided\n" if args.samples
+                  else b"i,j,x,y,feasible\n")
+        fills = ((i, j, _SVG_COLORS[1]) for j, row in enumerate(mask)
+                 for i in np.flatnonzero(row).tolist())
+    new_svg = args.svg is not None and not os.path.lexists(args.svg)
     try:  # an unusable --svg fails before the CSV is opened
         with (open(args.svg, "w") if args.svg is not None else nullcontext()) as svg, \
                 open(args.out, "wb") as fh:
             fh.write(header)
-            _write_rows(fh, len(i), fields)
+            _write_rows(fh, side * side, fields)
             if svg:
-                write_region_svg(svg, columns, args.grid)
+                write_region_svg(svg, fills, grid)
     except OSError as exc:
+        if new_svg:  # nor does an unusable --out leave an SVG behind
+            with suppress(FileNotFoundError):
+                os.remove(args.svg)
         return _error(exc)
-    print(f"wrote {len(i)} rows to {args.out}")
+    print(f"wrote {side * side} rows to {args.out}")
     return 0
 
 

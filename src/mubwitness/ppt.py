@@ -507,23 +507,32 @@ def _lp_cells(plane: tuple[int, int], grid: int) -> set[tuple[int, int]]:
     return cells
 
 
+@functools.cache
+def _polygon_edges(vertices: tuple) -> tuple[tuple[int, int, int], ...]:
+    """The edge inequalities of a CCW vertex tuple, derived once per polygon.
+
+    Keyed by the vertices themselves, not the plane, so a changed table or
+    projection_polygon moves the region cells with it.
+    """
+    return tuple(_edge_inequality(u, v) for u, v in zip(vertices, vertices[1:] + vertices[:1]))
+
+
 def region_mask(plane: tuple[int, int], grid: int) -> np.ndarray:
     """Feasible grid cells as a (grid, grid) boolean array indexed [j, i].
 
     The projection is read as an exact polygon (`projection_polygon`, a
     table lookup), and every corner (i/grid, j/grid) is tested against
-    each edge inequality in the integer form nx*i + ny*j <= h*grid, one
-    int64 broadcast per edge.  The edge coefficients are small integers,
-    so the test is exact.
+    each edge inequality in the integer form nx*i <= h*grid - ny*j: an
+    int64 row against an int64 column per edge, so the only (grid, grid)
+    arrays are booleans.  The edge coefficients are small integers, so
+    the test is exact.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    vertices = projection_polygon(plane)
+    mask = np.ones((grid, grid), dtype=bool)  # first: a grid too large fails before any work
     k = np.arange(grid, dtype=np.int64)
-    mask = np.ones((grid, grid), dtype=bool)
-    for u, v in zip(vertices, vertices[1:] + vertices[:1]):
-        nx, ny, h = _edge_inequality(u, v)
-        mask &= nx * k + ny * k[:, None] <= h * grid
+    for nx, ny, h in _polygon_edges(tuple(projection_polygon(plane))):
+        mask &= nx * k <= (h * grid - ny * k)[:, None]
     return mask
 
 

@@ -402,6 +402,8 @@ def test_region_outputs_match_golden_files(tmp_path, name, args):
     ("cat1-triangle-40", ["--plane", "cat1-triangle", "--grid", "40"]),
     ("cat1-triangle-100", ["--plane", "cat1-triangle", "--grid", "100"]),
     ("p1p2-40-samples", ["--plane", "p1p2", "--grid", "40", "--samples", "4", "--seed", "3"]),
+    # 231 feasible cells of 50 states: three classify_batch blocks of whole cells.
+    ("p1p3-40-samples50", ["--plane", "p1p3", "--grid", "40", "--samples", "50", "--seed", "7"]),
 ])
 def test_region_outputs_match_golden_digests(tmp_path, name, args):
     # Scans of 1 600 to 160 000 rows, which cross many of the CSV writer's
@@ -420,6 +422,14 @@ def test_region_csv_memory_bounded_by_the_chunk(tmp_path):
     scan = _traced_peak(lambda: cli.main(["region", "--plane", "p1p2", "--grid", "800",
                                           "--out", str(tmp_path / "mem.csv")]))
     assert scan <= build + 4 * 2 ** 20, (build, scan)
+
+
+def test_region_plane_scan_memory_is_the_mask(tmp_path):
+    # A plane scan keeps only its (grid, grid) bool mask, 1 MB at grid 1000;
+    # each chunk's i, j and feasible columns are derived from its row range.
+    peak = _traced_peak(lambda: cli.main(["region", "--plane", "p1p2", "--grid", "1000",
+                                          "--out", str(tmp_path / "mem.csv")]))
+    assert peak < 6 * 2 ** 20, peak
 
 
 CLASSIFY_GOLDEN = Path(__file__).parent / "data" / "classify"
@@ -493,17 +503,20 @@ def test_region_bad_plane_exit_2(tmp_path):
     ["region", "--plane", "p1p2", "--grid", "4", "--out", "{missing}"],
     ["region", "--plane", "p1p2", "--grid", "4", "--out", "{ok}", "--svg", "{missing}"],
     ["region", "--plane", "p1p2", "--grid", "4", "--out", "{ok}", "--svg", ""],
+    ["region", "--plane", "p1p2", "--grid", "4", "--out", "{missing}", "--svg", "{svg}"],
     ["sample", "--n", "10", "--out", "{missing}"],
     ["sample", "--n", "10", "--out", ""],
 ])
 def test_unwritable_output_exit_2(tmp_path, command):
-    paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "ok": str(tmp_path / "ok.csv")}
+    paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "ok": str(tmp_path / "ok.csv"),
+             "svg": str(tmp_path / "ok.svg")}
     res = run_cli([arg.format(**paths) for arg in command])
     assert res.returncode == 2
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
     assert not (tmp_path / "ok.csv").exists()  # an unusable --svg leaves no CSV behind
+    assert not (tmp_path / "ok.svg").exists()  # an unusable --out leaves no SVG behind
 
 
 def test_region_negative_samples_exit_2(tmp_path):

@@ -561,6 +561,27 @@ def test_region_mask_is_the_per_cell_edge_test():
         assert ppt.project_region(plane, grid) == set(zip(i.tolist(), j.tolist()))
 
 
+def test_region_mask_derives_each_polygons_edges_once(monkeypatch):
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return edge_inequality(u, v)
+
+    edge_inequality = ppt._edge_inequality
+    monkeypatch.setattr(ppt, "_edge_inequality", counting)
+    ppt._polygon_edges.cache_clear()
+    first = ppt.region_mask((0, 1), 16)
+    assert len(calls) == 4  # the quadrilateral's edges
+    calls.clear()
+    for plane, grid in (((0, 1), 16), ((2, 3), 40), ((1, 0), 7)):  # same shape, any plane or grid
+        ppt.region_mask(plane, grid)
+    assert calls == []
+    assert np.array_equal(ppt.region_mask((0, 1), 16), first)
+    ppt.region_mask((0, 2), 16)
+    assert len(calls) == 3  # a new shape: the triangle's edges, once
+
+
 def test_projection_polygon_exact_vertices():
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     quad = ppt.projection_polygon((0, 1))
