@@ -471,20 +471,6 @@ def region_cat1_triangle(grid: int, tol: float = 1e-9):
             "status": status, "witness": labels, "value": values}
 
 
-@functools.lru_cache(maxsize=8)
-def _lattice_text(grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Byte tables of each lattice index k <= grid: its integer and its coordinate k / grid.
-
-    Formatted once per grid and read-only, since every scan of the grid
-    shares them through the cache.
-    """
-    ints = _table([str(k) for k in range(grid + 1)])
-    coords = _table([_fmt(k / grid) for k in range(grid + 1)])
-    ints.setflags(write=False)
-    coords.setflags(write=False)
-    return ints, coords
-
-
 # The fill of a triangle point by status, or of a plane cell whose feasible
 # flag is 1; other cells are left blank.
 _SVG_COLORS = {VERDICT_BOUND: "#cc3311", VERDICT_SEPARABLE: "#228833",
@@ -521,7 +507,10 @@ def cmd_region(args) -> int:
                                         args.tol)
     except MemoryError as exc:  # numpy refuses a grid whose arrays cannot fit at once
         return _error(f"--grid {grid} is too large: {exc}")
-    ints, coords = _lattice_text(grid)  # a feasible flag (0 or 1) is its own index's integer
+    # Each lattice index's integer and coordinate, formatted once; a
+    # feasible flag (0 or 1) is its own index's integer.
+    ints = _table([str(k) for k in range(grid + 1)])
+    coords = _table([_fmt(k / grid) for k in range(grid + 1)])
     side = grid + 1 if triangle else grid  # lattice points per row, j major
 
     def fields(c):
@@ -546,8 +535,10 @@ def cmd_region(args) -> int:
                   else b"i,j,x,y,feasible\n")
         fills = ((i, j, _SVG_COLORS[1]) for j, row in enumerate(mask)
                  for i in np.flatnonzero(row).tolist())
-    new_svg = args.svg is not None and not os.path.lexists(args.svg)
-    try:  # an unusable --svg fails before the CSV is opened
+    made = [p for p in (args.svg, args.out) if p is not None and not os.path.lexists(p)]
+    try:
+        if args.svg is not None:  # --out must open, untruncated, before --svg is truncated
+            os.close(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666))
         with (open(args.svg, "w") if args.svg is not None else nullcontext()) as svg, \
                 open(args.out, "wb") as fh:
             fh.write(header)
@@ -555,9 +546,9 @@ def cmd_region(args) -> int:
             if svg:
                 write_region_svg(svg, fills, grid)
     except OSError as exc:
-        if new_svg:  # nor does an unusable --out leave an SVG behind
-            with suppress(FileNotFoundError):
-                os.remove(args.svg)
+        for p in made:  # a failed scan leaves no file it created
+            with suppress(OSError):
+                os.remove(p)
         return _error(exc)
     print(f"wrote {side * side} rows to {args.out}")
     return 0

@@ -519,6 +519,19 @@ def test_unwritable_output_exit_2(tmp_path, command):
     assert not (tmp_path / "ok.svg").exists()  # an unusable --out leaves no SVG behind
 
 
+@pytest.mark.parametrize("kept,flag,other", [("ok.svg", "--svg", "--out"),
+                                             ("ok.csv", "--out", "--svg")])
+def test_unwritable_region_output_keeps_the_other_file(tmp_path, kept, flag, other):
+    # Both paths must open before either is truncated, so an existing file
+    # survives a failed scan byte for byte.
+    (tmp_path / kept).write_text("old contents\n")
+    res = run_cli(["region", "--plane", "p1p2", "--grid", "4", flag, str(tmp_path / kept),
+                   other, str(tmp_path / "no-such-dir" / "x")])
+    assert res.returncode == 2
+    assert (tmp_path / kept).read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [kept]
+
+
 def test_region_negative_samples_exit_2(tmp_path):
     res = run_cli(["region", "--plane", "p1p2", "--grid", "4", "--samples", "-3",
                    "--out", str(tmp_path / "x.csv")])
