@@ -391,7 +391,7 @@ _NPT, _BOUND, _SEPARABLE, _UNDECIDED = range(4)
 def classify(p, tol: float = 1e-9) -> Verdict:
     """NPT / bound-detected / separable-certified / ppt-undecided.
 
-    The eigenvalue oracle in is_ppt cross-checks the inequalities; the
+    The PPT report is is_ppt's, whose eigenvalues are the closed form; the
     verdict, witness and value come from the batch core on a batch of one,
     fed is_ppt's smallest inequality value, so they equal classify_batch's
     row for the same state bit for bit.
@@ -409,9 +409,9 @@ def classify_batch(ps: np.ndarray, tol: float = 1e-9):
 
     Returns (verdicts, witness_labels, witness_values): object/float arrays
     aligned with the input rows.  Raises ValueError, as classify does, when
-    a row is not a probability vector (pauli.check_simplex).  PPT here means
-    the analytic inequalities; per-state `classify` additionally
-    cross-checks the eigenvalue oracle.
+    a row is not a probability vector (pauli.check_simplex).  PPT means
+    the 24 inequalities here as in `classify`; neither runs the Jacobi
+    oracle, which `mubw verify --suite oracle` cross-checks them against.
     """
     ps = np.asarray(ps, dtype=float)
     check_simplex(ps)

@@ -407,20 +407,21 @@ def _region_plane(plane, grid, samples, seed, tol):
     """The PPT region on a coordinate plane: its (grid, grid) mask and, with samples, tallies.
 
     The mask is `ppt.region_mask`, indexed [j, i].  The tallies are each
-    cell's (NPT, bound, separable, undecided) counts of `samples` seeded
-    states, shape (grid * grid, 4) by cell index j * grid + i and zero off
-    the region; None without samples.  The feasible cells are classified
-    in blocks of whole cells holding at least BLOCK_SIZE states.
+    feasible cell's (NPT, bound, separable, undecided) counts of `samples`
+    seeded states, one row per cell in `np.flatnonzero(mask)` order, so
+    cells off the region take no memory; None without samples.  The
+    feasible cells are classified in blocks of whole cells holding at
+    least BLOCK_SIZE states.
     """
     mask = ppt.region_mask(plane, grid)
     if not samples:
         return mask, None
     cells = np.flatnonzero(mask)
-    tally = np.zeros((grid * grid, 4), dtype=np.int64)
     per_block = -(-BLOCK_SIZE // samples)
+    tally = np.empty((len(cells), 4), dtype=np.int64)
     for lo in range(0, len(cells), per_block):
-        k = cells[lo:lo + per_block]
-        tally[k] = _cell_tallies(plane, grid, k, samples, seed, tol)
+        tally[lo:lo + per_block] = _cell_tallies(plane, grid, cells[lo:lo + per_block], samples,
+                                                 seed, tol)
     return mask, tally
 
 
@@ -512,6 +513,8 @@ def cmd_region(args) -> int:
     ints = _table([str(k) for k in range(grid + 1)])
     coords = _table([_fmt(k / grid) for k in range(grid + 1)])
     side = grid + 1 if triangle else grid  # lattice points per row, j major
+    if not triangle and tally is not None:
+        tallied = np.flatnonzero(mask)  # the lattice index of each tally row
 
     def fields(c):
         j, i = np.divmod(np.arange(c.start, c.stop), side)
@@ -522,7 +525,10 @@ def cmd_region(args) -> int:
         feasible = mask.ravel()[c]
         cells.append(ints[feasible.astype(np.intp)])
         if tally is not None:   # tallies are empty off the region
-            cells += [_digits(t, len(str(args.samples))) * feasible[:, None] for t in tally[c].T]
+            lo, hi = np.searchsorted(tallied, (c.start, c.stop))
+            counts = np.zeros((len(feasible), 4), dtype=np.int64)
+            counts[feasible] = tally[lo:hi]
+            cells += [_digits(t, len(str(args.samples))) * feasible[:, None] for t in counts.T]
         return cells
 
     if triangle:

@@ -2,10 +2,13 @@
 
 Positivity of the three partial transposes is equivalent, on this family,
 to 24 linear inequalities in the mixing probabilities, grouped as six
-quadruples.  Both routes are implemented and cross-checked: the signed
-sums (pauli.signed_sums, so a state's values have the same bits in the
-scalar report and in any batch), and a similarity-rotation (Jacobi)
-eigenvalue solver applied to the partially transposed density matrix.
+quadruples; each qubit's smallest partial-transpose eigenvalue is half the
+smallest of its eight values.  `is_ppt` reports only this closed form, from
+the signed sums (pauli.signed_sums, so a state's values have the same bits
+in the scalar report and in any batch).  The cross-check, run by `mubw
+verify --suite oracle` and the tests but never by `is_ppt` or `classify`,
+is a similarity-rotation (Jacobi) eigenvalue solver applied to the
+partially transposed density matrix.
 The solver is generic: each sweep visits every off-diagonal pair once, in
 round-robin rounds of disjoint pairs that are rotated together, and it
 stops at the end of any round after which the off-diagonal part is within
@@ -76,16 +79,24 @@ _INEQ_MATRIX = inequality_matrix()
 
 @dataclass
 class PptReport:
-    """Outcome of the PPT test: 6x4 inequality values plus the eigen oracle."""
+    """Outcome of is_ppt, its only constructor: the 6x4 inequality values and tol."""
 
     quadruples: np.ndarray          # shape (6, 4), report order
-    min_eigs: tuple[float, float, float]
-    passed: bool
     tol: float
 
     @property
     def min_value(self) -> float:
         return float(self.quadruples.min())
+
+    @property
+    def passed(self) -> bool:
+        return self.min_value >= -self.tol
+
+    @property
+    def min_eigs(self) -> tuple[float, float, float]:
+        """Each qubit's smallest partial-transpose eigenvalue, half its smallest inequality
+        value: the closed form, so it cannot disagree with `passed`."""
+        return tuple((self.quadruples[_QUBIT_GROUPS].reshape(3, 8).min(axis=1) / 2).tolist())
 
 
 def ppt_inequalities(p) -> np.ndarray:
@@ -222,13 +233,8 @@ def min_eigenvalue(h: np.ndarray) -> float:
     return float(jacobi_eigenvalues(h)[0])
 
 
-def pt_min_eigenvalues(p) -> tuple[float, float, float]:
-    """Minimal eigenvalue of rho^{T_q} for each qubit q."""
-    return tuple(pt_min_eigenvalues_batch(as_probs(p)[None, :])[0].tolist())
-
-
 def pt_min_eigenvalues_batch(ps: np.ndarray) -> np.ndarray:
-    """Batch oracle: min eigenvalue per qubit, shape (n, 3), from one Jacobi call.
+    """Jacobi cross-check: min eigenvalue per qubit, shape (n, 3), from one call.
 
     rho^{T_q} = sum_k p_k P_k^{T_q}, so one contraction with _PT_PROJECTORS
     gives every partial transpose of the batch, shape (n, 3, 8, 8).
@@ -238,28 +244,12 @@ def pt_min_eigenvalues_batch(ps: np.ndarray) -> np.ndarray:
 
 
 def is_ppt(p, tol: float = 1e-9) -> PptReport:
-    """Run the 24-inequality test and the eigenvalue oracle, cross-checked.
+    """The 24-inequality test of p, validated once; tol >= 1e-12 (pauli.check_tol).
 
-    Each qubit's min partial-transpose eigenvalue equals exactly half the
-    minimum over that qubit's eight inequality values; a disagreement
-    beyond tol signals an implementation bug and raises.  pauli.check_tol
-    keeps tol at or above the input resolution, 1e-12, so the two routes'
-    rounding (a few 1e-17 on ordinary states) never reads as a
-    disagreement.
+    The report's eigenvalues are the closed form; no Jacobi rotation runs.
     """
     check_tol(tol)
-    min_eigs = pt_min_eigenvalues(p)  # validates p, once for the whole report
-    quads = ppt_inequalities_batch(np.asarray(p, dtype=float)[None, :]).reshape(6, 4)
-    analytic = quads[_QUBIT_GROUPS].reshape(3, 8).min(axis=1) / 2.0
-    gaps = np.abs(np.subtract(min_eigs, analytic))
-    if gaps.max() > tol:
-        q = int(np.argmax(gaps > tol))
-        raise RuntimeError(
-            f"PPT oracle disagreement on qubit {q + 1}: "
-            f"eigenvalue {min_eigs[q]} vs inequalities {analytic[q]}"
-        )
-    passed = bool(quads.min() >= -tol)
-    return PptReport(quadruples=quads, min_eigs=min_eigs, passed=passed, tol=tol)
+    return PptReport(quadruples=ppt_inequalities(p), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubwitness import pauli, ppt, witness
+from mubwitness import cli, pauli, ppt, witness
 from mubwitness.classify import (
     SEPARABLE_CONSTRUCTORS,
     VERDICT_BOUND,
@@ -632,26 +632,49 @@ def test_a_matched_certificate_with_a_negative_weight_raises(monkeypatch):
         certify_separable(np.full(8, 0.125))
 
 
-def test_classify_runs_the_oracle_cross_check_on_every_verdict(monkeypatch):
-    states = [np.eye(8)[0], PROTOTYPE, np.full(8, 0.125)]
-    assert [classify(p).kind for p in states] == [VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE]
-    real = ppt.pt_min_eigenvalues
+UNDECIDED_STATE = np.array([0.06483830458239698, 0.16042319339366215, 0.31438159337917265,
+                            0.2018843031003069, 0.11007935661459385, 0.023106042076920356,
+                            0.08537407979919205, 0.03991312705375493])
 
-    def off_by_1e_6_on_qubit_2(p):
-        e1, e2, e3 = real(p)
-        return e1, e2 + 1e-6, e3
 
-    monkeypatch.setattr(ppt, "pt_min_eigenvalues", off_by_1e_6_on_qubit_2)
+def test_classify_and_is_ppt_run_no_jacobi_rotation(monkeypatch):
+    calls = []
+    real = ppt._jacobi_batch
+
+    def counting_jacobi(mats):
+        calls.append(len(mats))
+        return real(mats)
+
+    monkeypatch.setattr(ppt, "_jacobi_batch", counting_jacobi)
+    states = [np.eye(8)[0], PROTOTYPE, np.full(8, 0.125), UNDECIDED_STATE]
+    assert [classify(p).kind for p in states] == [VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE,
+                                                  VERDICT_UNDECIDED]
     for p in states:
-        with pytest.raises(RuntimeError, match="disagreement on qubit 2"):
-            classify(p)
-    assert classify(states[1], tol=1e-5).kind == VERDICT_BOUND
+        ppt.is_ppt(p)
+    assert calls == []
+    ppt.pt_min_eigenvalues_batch(np.array(states))  # the oracle itself is counted
+    assert calls == [3 * len(states)]
+
+
+def test_the_oracle_suite_fails_on_a_1e_6_fault_on_qubit_2(monkeypatch):
+    ok, detail = cli.suite_oracle(2000, seed=5, inject_bug=False)
+    assert ok, detail
+    real = ppt.pt_min_eigenvalues_batch
+
+    def off_by_1e_6_on_qubit_2(ps):
+        return real(ps) + [0.0, 1e-6, 0.0]
+
+    monkeypatch.setattr(ppt, "pt_min_eigenvalues_batch", off_by_1e_6_on_qubit_2)
+    ok, detail = cli.suite_oracle(2000, seed=5, inject_bug=False)
+    assert not ok, detail
+    gap = float(detail.rpartition("=")[2])
+    assert 0.99e-6 <= gap <= 1.01e-6, detail
 
 
 def test_a_tol_finer_than_rounding_is_no_oracle_disagreement():
-    # The two routes differ by a few 1e-17 on ordinary states: a tol finer
-    # than the input resolution is rejected, and at the resolution itself
-    # the gap bound still holds.
+    # A tol finer than the input resolution would judge rounding noise and
+    # is rejected; at the resolution itself the verdict reads the smallest
+    # inequality value.
     rng = np.random.default_rng(0)
     states = [np.array([0.10749657005067323, 0.09450663936429698, 0.09700564932437437,
                         0.09603977967748333, 0.006800958742439573, 0.3547424117873048,

@@ -152,7 +152,7 @@ def test_round_robin_oracle_matches_cyclic_bit_for_bit(ps):
         stack = np.stack([ppt.partial_transpose(rho, q) for q in (1, 2, 3)])
         ref = _cyclic_jacobi_reference(stack)
         assert _bits(ppt._jacobi_batch(stack)) == _bits(ref), p.tolist()
-        assert _bits(ppt.pt_min_eigenvalues(p)) == _bits(ref[:, 0]), p.tolist()
+        assert _bits(ppt.pt_min_eigenvalues_batch(p[None, :])[0]) == _bits(ref[:, 0]), p.tolist()
     rhos = pauli.densities_from_p_batch(ps).reshape((len(ps),) + (2,) * 6)
     for k in range(3):
         axes = [0, 1, 2, 3, 4, 5, 6]
@@ -317,13 +317,32 @@ def test_is_ppt_examples():
     assert ppt.is_ppt(PROTOTYPE).passed
 
 
-def test_is_ppt_cross_check_relation():
-    rng = np.random.default_rng(3)
-    for p in random_probs(rng, 50):
+@st.composite
+def _closed_form_states(draw):
+    """Flat draws, a face of the simplex (drawn entries exactly 0) and every separable family."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    face = rng.exponential(1.0, 8)
+    face[draw(st.lists(st.integers(0, 7), max_size=7, unique=True))] = 0.0
+    return np.vstack([random_probs(rng, 4), face / face.sum()]
+                     + [fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values()])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_closed_form_states())
+def test_is_ppt_cross_check_relation(ps):
+    # is_ppt reports each qubit's smallest partial-transpose eigenvalue as
+    # half its smallest inequality value, bit for bit (stated that way round:
+    # halving an odd subnormal rounds), the Jacobi oracle agrees within
+    # 1e-15, and the verdict reads the same minimum, also at tol = |minimum|.
+    oracle = ppt.pt_min_eigenvalues_batch(ps)
+    for p, eigs in zip(ps, oracle):
         rep = ppt.is_ppt(p)
         for q, groups in enumerate(ppt.GROUPS_BY_QUBIT):
-            analytic = min(rep.quadruples[g].min() for g in groups) / 2.0
-            assert abs(rep.min_eigs[q] - analytic) < 1e-12
+            assert _bits(rep.min_eigs[q]) == _bits(rep.quadruples[list(groups)].min() / 2)
+        assert np.max(np.abs(np.subtract(rep.min_eigs, eigs))) <= 1e-15, p.tolist()
+        for tol in (1e-9, max(pauli.RESOLUTION, -rep.min_value)):
+            rep = ppt.is_ppt(p, tol)
+            assert rep.passed == (min(rep.min_eigs) >= -tol / 2), (p.tolist(), tol)
 
 
 def test_oracle_equivalence_bulk():
