@@ -426,20 +426,31 @@ def _detect_rows(ps: np.ndarray, ineq_min: np.ndarray, tol: float):
 
     ineq_min holds each row's smallest of the 24 inequality values, shape
     (n,); the caller evaluates them once and keeps only this minimum.
-    Returns (ppt_mask, cols, values, detected): each row's most negative
-    envelope column and its value, and the PPT rows it detects.  With no
-    PPT row the envelope table is not built: cols are 0 and values NaN,
-    and no caller reads them.
+    Returns (ppt_mask, cols, values, detected): each PPT row's most
+    negative envelope column and its value, and the PPT rows it detects.
+    r and the 36-column table are built for the PPT rows only (about a
+    tenth of a flat draw); an NPT row keeps col 0 and value NaN, which no
+    caller reads.  Each row's r and table entries are the same alone as
+    inside a batch, so the gather changes no bit.  When every row is PPT,
+    as for a scalar classify's batch of one, the rows are used without a
+    gather.
     """
     check_tol(tol)
     ppt_mask = ineq_min >= -tol
-    if not ppt_mask.any():
-        n = len(ppt_mask)
-        return ppt_mask, np.zeros(n, dtype=np.intp), np.full(n, np.nan), np.zeros(n, dtype=bool)
-    table = nonlinear_values_batch(signed_sums(ps, SIGNS))
-    cols = np.argmin(table, axis=1)
-    values = table[np.arange(len(cols)), cols]
-    return ppt_mask, cols, values, ppt_mask & (values < -tol)
+    n = len(ppt_mask)
+    rows = np.flatnonzero(ppt_mask)
+    if rows.size == n:
+        table = nonlinear_values_batch(signed_sums(ps, SIGNS))
+        cols = np.argmin(table, axis=1)
+        values = table[np.arange(n), cols]
+        return ppt_mask, cols, values, values < -tol
+    cols = np.zeros(n, dtype=np.intp)
+    values = np.full(n, np.nan)
+    detected = np.zeros(n, dtype=bool)
+    if rows.size:
+        ppt_cols, ppt_values, ppt_detected = _detect_rows(ps[rows], ineq_min[rows], tol)[1:]
+        cols[rows], values[rows], detected[rows] = ppt_cols, ppt_values, ppt_detected
+    return ppt_mask, cols, values, detected
 
 
 def _classify_rows(ps: np.ndarray, ineq_min: np.ndarray, tol: float):

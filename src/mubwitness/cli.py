@@ -6,13 +6,15 @@ numpy's default_rng seeded with SeedSequence((seed, b)), which mixes the
 pair into an independent stream per block.  `sample` generates,
 classifies and writes one block at a time in index order, so its memory
 is O(block) whatever n is, and outputs are byte-identical for a given
-(command, flags, seed).
+(command, flags, seed).  It turns each block's verdicts into status codes
+once (`_status_codes`); one np.bincount counts them, and the row writer's
+status and witness fields (`_verdict_fields`) read the same codes.
 
 Every CSV is written by one row writer (`_write_rows`).  Each field is a
 uint8 column with zero padding; _CHUNK_ROWS rows at a time, the fields
-are laid out side by side in one byte matrix and one mask drops the
-padding, so the writer's memory depends on the chunk, not on the number
-of rows.  The sample CSV carries each probability as `'%.17g' % p`: the
+are laid out side by side in one byte matrix and bytes.translate deletes
+the padding, so the writer's memory depends on the chunk, not on the
+number of rows.  The sample CSV carries each probability as `'%.17g' % p`: the
 bytes come from an exact integer kernel on numpy columns (`_g17_fields`),
 and Python formats only the values outside its range [1e-9, 1) and the
 detected rows' witness labels and values.  A region scan formats each
@@ -276,16 +278,16 @@ def _g17_fields(x: np.ndarray) -> np.ndarray:
     q = q2 >> _U(1)
     q += q2 & (sticky | q) & _U(1)             # round bit, and sticky or odd
     ok &= ((hi >> u) == _U(0)) & (q2 >= _U(2 * 10 ** 16)) & (q < _U(10 ** 17))
-    q = np.where(ok, q, _E16)
+    q = np.where(ok, q, _E16).view(np.int64)   # below 10^17: the digits are split in int64
 
-    lead = q // _E16
-    rest = q - lead * _E16
-    head = np.where(X >= -4, -10 * (X + 1), 40 + 10 * (rest != _U(0))) + lead.astype(np.int64)
-    groups = np.empty((len(x), 4), dtype=np.uint64)
+    lead = q // 10 ** 16
+    rest = q - lead * 10 ** 16
+    head = np.where(X >= -4, -10 * (X + 1), 40 + 10 * (rest != 0)) + lead
+    groups = np.empty((len(x), 4), dtype=np.int64)
     for j, unit in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1)):
-        groups[:, j] = rest // _U(unit)
-        rest -= groups[:, j] * _U(unit)
-        groups[:, j] += (rest == _U(0)).astype(np.uint64) * _U(10 ** 4)   # last nonzero group
+        groups[:, j] = rest // unit
+        rest -= groups[:, j] * unit
+        groups[:, j] += (rest == 0) * 10 ** 4   # last nonzero group
     words = np.empty((len(x), _FIELD // 8), dtype=np.uint64)
     words[:, 0] = _HEADS[head]
     words[:, 1:3] = _GROUPS[groups].view(np.uint64)
@@ -300,9 +302,12 @@ def _g17_fields(x: np.ndarray) -> np.ndarray:
 
 def _digits(k: np.ndarray, width: int) -> np.ndarray:
     """Non-negative integers as right-aligned ASCII digits, leading zeros as padding."""
-    units = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    digits = (k[:, None] // units % 10 + 48).astype(np.uint8)
-    digits[:, :-1] *= k[:, None] >= units[:-1]
+    digits = np.empty((len(k), width), dtype=np.uint8)
+    for pos in range(width):
+        lead = k // 10 ** (width - 1 - pos)
+        digits[:, pos] = lead % 10 + 48
+        if pos < width - 1:
+            digits[:, pos] *= lead != 0
     return digits
 
 
@@ -311,19 +316,28 @@ _COMMAS = np.zeros(8 * _FIELD - 1, dtype=np.uint8)
 _COMMAS[_FIELD - 1::_FIELD] = ord(",")
 
 
-# Row statuses by code: one comparison per status is the cheapest read of an object column.
+# Row statuses by code.
 _STATUSES = (VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED, "invalid")
 _STATUS_TEXT = _table(_STATUSES)
+_DETECTED = _STATUSES.index(VERDICT_BOUND)
 
 
-def _verdict_fields(verdicts, labels, values) -> list[np.ndarray]:
-    """The status field, then "witness,value": "," unless the row was detected."""
-    codes = np.zeros(len(verdicts), dtype=np.intp)
+def _status_codes(statuses) -> np.ndarray:
+    """Each status's index in _STATUSES.
+
+    One comparison per status is the cheapest read of an object column.
+    """
+    codes = np.zeros(len(statuses), dtype=np.intp)
     for code, status in enumerate(_STATUSES[1:], 1):
-        codes[verdicts == status] = code
-    detected = np.flatnonzero(codes == 1)
+        codes[statuses == status] = code
+    return codes
+
+
+def _verdict_fields(codes, labels, values) -> list[np.ndarray]:
+    """The status field of each code, then "witness,value": "," unless the row was detected."""
+    detected = np.flatnonzero(codes == _DETECTED)
     tails = _table([f"{_csv_text(labels[k])},{_fmt(values[k])}" for k in detected.tolist()])
-    fields = np.zeros((len(verdicts), tails.shape[1]), dtype=np.uint8)
+    fields = np.zeros((len(codes), tails.shape[1]), dtype=np.uint8)
     fields[:, 0] = ord(",")
     fields[detected] = tails
     return [_STATUS_TEXT[codes], fields]
@@ -340,12 +354,12 @@ def _write_rows(handle, n: int, fields) -> None:
         comma = np.full((len(columns[0]), 1), ord(","), dtype=np.uint8)
         matrix = np.concatenate([part for column in columns for part in (column, comma)], axis=1)
         matrix[:, -1] = ord("\n")
-        handle.write(matrix[matrix != 0].tobytes())
+        handle.write(matrix.tobytes().translate(None, b"\0"))
 
 
 def run_sample(n: int, seed: int, tol: float = 1e-9, csv_path: str | None = None):
     """Classify n uniform-simplex states; returns the aggregate report."""
-    n_ppt = n_det = n_sep = n_und = 0
+    counts = np.zeros(len(_STATUSES), dtype=np.int64)
     tallies: Counter[str] = Counter()
     with open(csv_path, "wb") if csv_path is not None else nullcontext() as handle:
         if handle:
@@ -354,18 +368,17 @@ def run_sample(n: int, seed: int, tol: float = 1e-9, csv_path: str | None = None
             rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
             ps = sample_simplex(rng, min(BLOCK_SIZE, n - start))
             verdicts, labels, values = classify_batch(ps, tol=tol)
-            detected = verdicts == VERDICT_BOUND
-            n_ppt += int(np.count_nonzero(verdicts != VERDICT_NPT))
-            n_det += int(np.count_nonzero(detected))
-            n_sep += int(np.count_nonzero(verdicts == VERDICT_SEPARABLE))
-            n_und += int(np.count_nonzero(verdicts == VERDICT_UNDECIDED))
-            tallies.update(labels[detected].tolist())
+            codes = _status_codes(verdicts)
+            counts += np.bincount(codes, minlength=len(_STATUSES))
+            tallies.update(labels[codes == _DETECTED].tolist())
             if handle:   # the probabilities' kernel runs a chunk at a time, in cache
                 index = _digits(np.arange(start, start + len(ps)), len(str(n)))
-                status, tail = _verdict_fields(verdicts, labels, values)
+                status, tail = _verdict_fields(codes, labels, values)
                 _write_rows(handle, len(ps), lambda c: [
                     index[c], _g17_fields(ps[c].ravel()).reshape(-1, 8 * _FIELD)[:, :-1] | _COMMAS,
                     status[c], tail[c]])
+    n_det, n_sep, n_und = counts[1:4].tolist()
+    n_ppt = n_det + n_sep + n_und
     return SampleReport(
         n_total=n,
         n_ppt=n_ppt,
@@ -462,7 +475,8 @@ def region_cat1_triangle(grid: int, tol: float = 1e-9):
     coord = np.arange(grid + 1) / grid
     p1, p2 = coord[i], coord[j]
     valid = np.flatnonzero(p1 + p2 <= 1.0 + pauli.RESOLUTION)
-    status = np.full(i.shape, "invalid", dtype=object)
+    status = np.empty(i.shape, dtype=object)
+    status.fill("invalid")  # one shared str; np.full would make one per point
     labels = np.full(i.shape, "", dtype=object)
     values = np.full(i.shape, np.nan)
     for lo in range(0, len(valid), BLOCK_SIZE):
@@ -520,8 +534,8 @@ def cmd_region(args) -> int:
         j, i = np.divmod(np.arange(c.start, c.stop), side)
         cells = [ints[i], ints[j], coords[i], coords[j]]
         if triangle:
-            return cells + _verdict_fields(columns["status"][c], columns["witness"][c],
-                                           columns["value"][c])
+            return cells + _verdict_fields(_status_codes(columns["status"][c]),
+                                           columns["witness"][c], columns["value"][c])
         feasible = mask.ravel()[c]
         cells.append(ints[feasible.astype(np.intp)])
         if tally is not None:   # tallies are empty off the region
@@ -568,15 +582,15 @@ def cmd_region(args) -> int:
 def suite_oracle(n: int, seed: int, inject_bug: bool):
     """Inequality verdicts against the rotation-eigenvalue oracle.
 
-    The n states are one draw; the two routes run on BLOCK_SIZE of them at
-    a time, so the oracle's partial transposes are one block's.
+    The n states are drawn BLOCK_SIZE at a time, in order, from the one
+    generator, which gives the same states as one draw of n; both routes
+    run on one block at a time, so memory does not grow with n.
     """
     rng = np.random.default_rng(seed)
-    ps = sample_simplex(rng, n)
     tol = 1e-9
     verdict_match, gaps = True, []
     for lo in range(0, n, BLOCK_SIZE):
-        block = ps[lo:lo + BLOCK_SIZE]
+        block = sample_simplex(rng, min(BLOCK_SIZE, n - lo))
         ineq = ppt.ppt_inequalities_batch(block)
         if inject_bug:
             ineq[:, 0] = -ineq[:, 0]  # negative control: corrupt one inequality
@@ -721,15 +735,19 @@ _SUITES = {
 }
 
 
+# The oracle suite's memory does not grow with --n, but its time does:
+# 10^9 states take about 10 hours on a 2-core host.
+_MAX_VERIFY_N = 10 ** 9
+
+
 def cmd_verify(args) -> int:
     if args.n < 1:
         return _error("--n must be at least 1")
+    if args.n > _MAX_VERIFY_N:
+        return _error(f"--n {args.n} is too large: at most {_MAX_VERIFY_N}")
     failures = 0
     for name in list(_SUITES) if args.suite == "all" else [args.suite]:
-        try:
-            ok, detail = _SUITES[name](args)
-        except MemoryError as exc:  # numpy refuses an --n whose arrays cannot fit at once
-            return _error(f"--n {args.n} is too large: {exc}")
+        ok, detail = _SUITES[name](args)
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
     return 1 if failures else 0

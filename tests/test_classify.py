@@ -587,6 +587,49 @@ def test_no_envelope_table_without_a_ppt_row(monkeypatch):
     assert classify(PROTOTYPE).kind == VERDICT_BOUND and calls == [1]
 
 
+def test_envelope_table_sees_only_a_blocks_ppt_rows(monkeypatch):
+    module = importlib.import_module("mubwitness.classify")
+    real = module.nonlinear_values_batch
+    seen = []
+    monkeypatch.setattr(module, "nonlinear_values_batch", lambda rs: seen.append(rs) or real(rs))
+    ps = random_probs(np.random.default_rng(36), cli.BLOCK_SIZE)
+    ppt_rows = ppt.ppt_inequalities_batch(ps).min(axis=1) >= -1e-9
+    assert 0 < ppt_rows.sum() < len(ps) / 5  # about a tenth of a flat block is PPT
+    classify_batch(ps)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], pauli.signed_sums(ps[ppt_rows], pauli.SIGNS))
+    seen.clear()
+    assert set(classify_batch(ps[~ppt_rows])[0]) == {VERDICT_NPT}
+    assert seen == []
+
+
+@pytest.mark.parametrize("block", ["all-npt", "all-ppt", "mixed"])
+def test_classify_batch_rows_equal_classify_bit_for_bit(block):
+    # All-NPT blocks build no table, all-PPT blocks build it on every row
+    # and mixed blocks on the gathered PPT rows; scalar classify is a batch
+    # of one.  Every route gives each row the same verdict, label and value bits.
+    rng = np.random.default_rng(37)
+    flat = random_probs(rng, 2000)
+    flat_ppt = ppt.ppt_inequalities_batch(flat).min(axis=1) >= -1e-9
+    ps = {"all-npt": flat[~flat_ppt][:300],
+          "all-ppt": np.vstack([flat[flat_ppt], PROTOTYPE, CAT2_STATE]
+                               + [fn(rng) for fn in SEPARABLE_CONSTRUCTORS.values()]),
+          "mixed": _mixed_batch(38)}[block]
+    verdicts, labels, values = classify_batch(ps)
+    want_kinds = {"all-npt": {VERDICT_NPT}, "all-ppt": {VERDICT_BOUND, VERDICT_SEPARABLE,
+                                                        VERDICT_UNDECIDED},
+                  "mixed": {VERDICT_NPT, VERDICT_BOUND, VERDICT_SEPARABLE, VERDICT_UNDECIDED}}
+    assert set(verdicts) == want_kinds[block]
+    for i, p in enumerate(ps):
+        v = classify(p)
+        assert v.kind == verdicts[i], p.tolist()
+        assert (v.certificate is not None) == (v.kind == VERDICT_SEPARABLE), p.tolist()
+        if v.kind == VERDICT_BOUND:
+            _assert_detection_equals_row(v.detection, labels[i], values[i])
+        else:
+            assert v.detection is None and labels[i] == "" and np.isnan(values[i]), p.tolist()
+
+
 def test_classify_validates_once_outside_the_certificates(monkeypatch):
     real = pauli.as_probs
     calls = []
@@ -764,8 +807,16 @@ def test_envelope_table_is_the_per_id_table_bit_for_bit():
         got = witness.nonlinear_values_batch(rs)
         assert got.shape == want.shape and got.dtype == want.dtype, name
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
-        cols = module._classify_rows(ps, ppt.ppt_inequalities_batch(ps).min(axis=1), 1e-9)[1]
-        assert np.array_equal(cols, np.argmin(want, axis=1)), name
+        # r and the table are built for the PPT rows only: an NPT row keeps
+        # col 0 and value NaN, which no caller reads.
+        ineq_min = ppt.ppt_inequalities_batch(ps).min(axis=1)
+        cols, values = module._classify_rows(ps, ineq_min, 1e-9)[1:3]
+        rows = ineq_min >= -1e-9
+        best = np.argmin(want, axis=1)
+        assert np.array_equal(cols[rows], best[rows]), name
+        assert np.array_equal(values[rows].view(np.int64),
+                              want[np.flatnonzero(rows), best[rows]].view(np.int64)), name
+        assert not cols[~rows].any() and np.isnan(values[~rows]).all(), name
     for p in batches["special"]:  # the scalar entry points' batch of one
         r = pauli.r_from_p(p)
         assert np.array_equal(witness.nonlinear_values_batch(r).view(np.int64),

@@ -292,13 +292,14 @@ def test_run_sample_memory_bounded_in_n(tmp_path):
 
 
 def test_verify_oracle_memory_bounded_in_n():
-    # The n states are one draw (64 B each); both routes run a block at a time.
+    # The states are drawn a block at a time and both routes run on one
+    # block, so 14 more blocks add less than one block of states (64 B each).
     def peak(n):
         return _traced_peak(lambda: cli.suite_oracle(n, seed=1, inject_bug=True))
 
     small = peak(2 * cli.BLOCK_SIZE)
     large = peak(16 * cli.BLOCK_SIZE)
-    assert large <= 1.5 * small, (small, large)
+    assert large - small <= 64 * cli.BLOCK_SIZE, (small, large)
 
 
 def test_region_cat1_triangle_memory_is_the_columns():
@@ -308,6 +309,23 @@ def test_region_cat1_triangle_memory_is_the_columns():
     peak = _traced_peak(lambda: scan.update(cli.region_cat1_triangle(800)))
     columns = sum(column.nbytes for column in scan.values())
     assert peak <= 3 * columns, (peak, columns)
+
+
+def test_region_cat1_triangle_invalid_status_is_one_object():
+    # The "invalid" status is one shared str, so what the scan keeps is its
+    # columns: at grid 300 one str per invalid point would add half again.
+    cli.region_cat1_triangle(4)  # first-call imports and caches are not the scan's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scan = cli.region_cat1_triangle(300)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    invalid = scan["status"][scan["status"] == "invalid"]
+    assert len(invalid) > 40_000 and len({id(s) for s in invalid}) == 1
+    columns = sum(column.nbytes for column in scan.values())
+    assert retained <= 1.1 * columns, (retained, columns)
 
 
 def test_sampler_marginals_uniform():
@@ -476,6 +494,13 @@ def test_sample_outputs_match_golden_digests(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_sample_million_stdout_matches_golden(capsys):
+    # `mubw sample --n 1000000 --seed 42`: 94 055 PPT states, 2 037 detected.
+    assert cli.main(["sample", "--n", "1000000", "--seed", "42"]) == 0
+    want = (SAMPLE_GOLDEN / "n1000000-seed42.stdout").read_bytes()
+    assert capsys.readouterr().out.encode() == want
+
+
 def test_region_cat1_triangle_csv(tmp_path):
     out = tmp_path / "cat1.csv"
     svg = tmp_path / "cat1.svg"
@@ -564,7 +589,8 @@ def test_region_grid_too_large_for_memory_exit_2(tmp_path, plane):
 
 
 def test_verify_n_too_large_for_memory_exit_2():
-    # 8 * 10^11 floats: numpy refuses the oracle suite's first array at once.
+    # The oracle suite draws a block at a time, so no --n exhausts memory;
+    # an --n above 10^9 (about 10 hours of oracle checks) is refused.
     res = run_cli(["verify", "--suite", "oracle", "--n", "100000000000"])
     assert res.returncode == 2 and res.stdout == ""
     lines = res.stderr.splitlines()
