@@ -20,7 +20,8 @@ and Python formats only the values outside its range [1e-9, 1) and the
 detected rows' witness labels and values.  A region scan formats each
 lattice index's integer and coordinate once and gathers them by index; a
 plane scan keeps only its boolean mask and derives each chunk's i, j and
-feasible columns from the chunk's row range.
+feasible columns from the chunk's row range.  Every output file is opened
+by `_rewrite`: written in place, without truncation, and cut at the end.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from collections import Counter
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,11 +359,26 @@ def _write_rows(handle, n: int, fields) -> None:
         handle.write(matrix.tobytes().translate(None, b"\0"))
 
 
+@contextmanager
+def _rewrite(path: str, mode: str = "wb"):
+    """Open path for writing in place, without O_TRUNC, which blocks while the
+    old contents are still being written back; on leaving, even by an exception,
+    cut a written regular file where writing stopped.  An unwritten file keeps its
+    contents.  A SIGKILL mid-write leaves a longer old file's tail after the new bytes.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and fh.tell():
+                fh.truncate()
+
+
 def run_sample(n: int, seed: int, tol: float = 1e-9, csv_path: str | None = None):
     """Classify n uniform-simplex states; returns the aggregate report."""
     counts = np.zeros(len(_STATUSES), dtype=np.int64)
     tallies: Counter[str] = Counter()
-    with open(csv_path, "wb") if csv_path is not None else nullcontext() as handle:
+    with _rewrite(csv_path) if csv_path is not None else nullcontext() as handle:
         if handle:
             handle.write(b"index,p1,p2,p3,p4,p5,p6,p7,p8,verdict,witness,witness_value\n")
         for block, start in enumerate(range(0, n, BLOCK_SIZE)):
@@ -557,10 +574,8 @@ def cmd_region(args) -> int:
                  for i in np.flatnonzero(row).tolist())
     made = [p for p in (args.svg, args.out) if p is not None and not os.path.lexists(p)]
     try:
-        if args.svg is not None:  # --out must open, untruncated, before --svg is truncated
-            os.close(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666))
-        with (open(args.svg, "w") if args.svg is not None else nullcontext()) as svg, \
-                open(args.out, "wb") as fh:
+        with (_rewrite(args.svg, "w") if args.svg is not None else nullcontext()) as svg, \
+                _rewrite(args.out) as fh:
             fh.write(header)
             _write_rows(fh, side * side, fields)
             if svg:

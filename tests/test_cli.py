@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -567,6 +568,101 @@ def test_unwritable_region_output_keeps_the_other_file(tmp_path, kept, flag, oth
     assert res.returncode == 2
     assert (tmp_path / kept).read_text() == "old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [kept]
+
+
+# Outputs are written in place and cut where writing stopped (`cli._rewrite`):
+# a rewrite must leave the bytes that truncate-then-write leaves.
+STALE = b"stale bytes of an earlier, longer output\n" * 4000
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--n", "10", "--out", os.devnull],
+    ["region", "--plane", "p1p2", "--grid", "4", "--out", os.devnull],
+    ["region", "--plane", "cat1-triangle", "--grid", "4", "--out", "{ok}", "--svg", os.devnull],
+])
+def test_output_to_a_device_exits_0(tmp_path, capsys, command):
+    # A device is not a regular file: it is written to but never cut
+    # (ftruncate on /dev/null fails with EINVAL).
+    assert cli.main([arg.format(ok=tmp_path / "ok.csv") for arg in command]) == 0
+
+
+@pytest.mark.parametrize("via_link", [False, True])
+def test_sample_over_a_longer_stale_file_matches_golden(tmp_path, capsys, via_link):
+    # A symlinked --out is written through and stays a link.
+    target = out = tmp_path / "sample.csv"
+    target.write_bytes(STALE * 8)
+    if via_link:
+        out = tmp_path / "link.csv"
+        out.symlink_to(target)
+    assert cli.main(["sample", "--n", "4097", "--seed", "1", "--out", str(out)]) == 0
+    assert out.is_symlink() == via_link
+    data = target.read_bytes()
+    assert len(data) < len(STALE) * 8  # the stale file was the longer one
+    digest = (SAMPLE_GOLDEN / "n4097-seed1.sha256").read_text().split()[0]
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, args", [
+    ("p1p2-6", ["--plane", "p1p2", "--grid", "6"]),
+    ("cat1-triangle-8", ["--plane", "cat1-triangle", "--grid", "8"]),
+])
+def test_region_over_longer_stale_files_matches_golden(tmp_path, capsys, name, args):
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    out.write_bytes(STALE)
+    svg.write_bytes(STALE)
+    assert cli.main(["region", *args, "--out", str(out), "--svg", str(svg)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert svg.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--n", "4097", "--seed", "1"],
+    ["region", "--plane", "p1p2", "--grid", "40"],
+])
+def test_failed_write_leaves_the_written_prefix(tmp_path, capsys, monkeypatch, command):
+    # A write that fails after the first chunk leaves the header and that
+    # chunk, as truncate-then-write did, even over a longer file; exit 2.
+    full, out = tmp_path / "full.csv", tmp_path / "out.csv"
+    assert cli.main([*command, "--out", str(full)]) == 0
+    out.write_bytes(STALE * 4)
+    write_rows = cli._write_rows
+
+    def fail_after_one_chunk(handle, n, fields):
+        write_rows(handle, min(n, cli._CHUNK_ROWS), fields)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_rows", fail_after_one_chunk)
+    assert cli.main([*command, "--out", str(out)]) == 2
+    lines = full.read_bytes().splitlines(keepends=True)
+    assert len(lines) > 1 + cli._CHUNK_ROWS
+    assert out.read_bytes() == b"".join(lines[:1 + cli._CHUNK_ROWS])
+
+
+def test_no_output_is_opened_truncating(tmp_path, capsys, monkeypatch):
+    # Truncating at open blocks while the old contents are written back;
+    # outputs are opened with os.open, without O_TRUNC, and wrapped by fd.
+    opened, os_open, builtin_open = [], os.open, open
+
+    def spy_os_open(path, flags, *rest, **kw):
+        opened.append((str(path), "O_TRUNC" if flags & os.O_TRUNC else "in place"))
+        return os_open(path, flags, *rest, **kw)
+
+    def spy_open(file, mode="r", *rest, **kw):
+        if not isinstance(file, int):
+            opened.append((str(file), mode))
+        return builtin_open(file, mode, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    paths = [str(tmp_path / name) for name in ("s.csv", "p.csv", "p.svg", "t.csv", "t.svg")]
+    for path in paths:
+        Path(path).write_bytes(STALE)
+    assert cli.main(["sample", "--n", "10", "--out", paths[0]]) == 0
+    assert cli.main(["region", "--plane", "p1p2", "--grid", "6", "--out", paths[1],
+                     "--svg", paths[2]]) == 0
+    assert cli.main(["region", "--plane", "cat1-triangle", "--grid", "8", "--out", paths[3],
+                     "--svg", paths[4]]) == 0
+    assert sorted(opened) == sorted((path, "in place") for path in paths)
 
 
 def test_region_negative_samples_exit_2(tmp_path):
